@@ -13,8 +13,7 @@ import (
 // Index is the metadata index of §4.2: a complete, local, soft-state copy of
 // the file→replica mapping with search over the namespace. The paper backs
 // it with SQLite; this implementation is a pure-Go ordered store with the
-// same semantics (insert, delete, lookup, substring search) — see DESIGN.md
-// for the substitution rationale.
+// same semantics (insert, delete, lookup, substring search).
 type Index struct {
 	mu       sync.RWMutex
 	files    map[FileKey]FileMeta

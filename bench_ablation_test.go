@@ -1,7 +1,7 @@
 package atum_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: each one
-// measures the system with a mechanism enabled vs disabled, reporting the
+// Ablation benchmarks for design choices described in docs/ARCHITECTURE.md:
+// each one measures the system with a mechanism enabled vs disabled, reporting the
 // protocol-level quantity the mechanism is supposed to improve (virtual
 // time and message cost — not host CPU, which is what ns/op would show).
 //

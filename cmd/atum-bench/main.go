@@ -9,7 +9,8 @@
 //
 // Experiments: table1 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 // batching wirecodec egress frames tree backpressure all.
-// Output: paper-style rows on stdout; EXPERIMENTS.md records a reference run.
+// Output: paper-style rows on stdout; the README's "Benchmarks and
+// experiments" section records reference numbers.
 package main
 
 import (

@@ -336,8 +336,25 @@ func (n *Node) isAlone() bool {
 
 // --- deterministic message IDs ---
 
+// Domain-tag digests that start the engine's derivations. Each is the hash
+// of its tag alone, computed once here instead of on every derivation; the
+// derived values are unchanged (msgid_golden_test.go pins them).
+var (
+	tagBcast       = crypto.Hash([]byte("atum-bcast"))
+	tagSnap        = crypto.Hash([]byte("atum-snap"))
+	tagNbrUpdate   = crypto.Hash([]byte("atum-nbru"))
+	tagSetNbr      = crypto.Hash([]byte("atum-setnbr"))
+	tagFresh       = crypto.Hash([]byte("atum-fresh"))
+	tagCycleAssign = crypto.Hash([]byte("atum-cassign"))
+	tagGroupID     = crypto.Hash([]byte("atum-gid"))
+	tagBatch       = crypto.Hash([]byte("atum-gbatch"))
+	tagTreeRank    = crypto.Hash([]byte("atum-tree-rank"))
+	tagPrune       = crypto.Hash([]byte("atum-prune"))
+	tagGraft       = crypto.Hash([]byte("atum-graft"))
+)
+
 func snapMsgID(old group.Composition, to ids.NodeID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-snap"))
+	d := tagSnap
 	d = crypto.HashUint64(d, uint64(old.GroupID))
 	d = crypto.HashUint64(d, old.Epoch)
 	d = crypto.HashUint64(d, uint64(to))
@@ -345,7 +362,7 @@ func snapMsgID(old group.Composition, to ids.NodeID) crypto.Digest {
 }
 
 func nbrUpdateMsgID(newComp group.Composition, to ids.GroupID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-nbru"))
+	d := tagNbrUpdate
 	d = crypto.HashUint64(d, uint64(newComp.GroupID))
 	d = crypto.HashUint64(d, newComp.Epoch)
 	d = crypto.HashUint64(d, uint64(to))

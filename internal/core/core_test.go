@@ -238,8 +238,7 @@ func TestGrowTo16NodesBothModes(t *testing.T) {
 			h := newHarness(t, mode, 9, func(cfg *Config) {
 				cfg.Params = Params{HC: 3, RWL: 3, GMax: 6, GMin: 3}
 				// Full shuffling under sustained growth is exercised at
-				// smaller scale (TestShuffleEventsFire); see DESIGN.md
-				// "Known limitations" for the cross-churn interaction.
+				// smaller scale (TestShuffleEventsFire).
 				cfg.DisableShuffle = true
 			})
 			nodes := h.bootstrapSystem(mode, 16, 240*time.Second)

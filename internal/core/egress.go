@@ -95,21 +95,21 @@ func (n *Node) flushAllEgress() {
 // notices). In synchronous mode group sends are round-quantized anyway, so
 // batches defer to the round-tick FlushAll instead of arming window timers.
 func (n *Node) sendViaEgress(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte) {
-	n.sendViaEgressWith(src, dst, kind, msgID, payload, egress.ClassControl, 0)
+	n.sendViaEgressWith(src, dst, group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload}, egress.ClassControl, 0)
 }
 
-// sendViaEgressWith is sendViaEgress with an explicit priority class and
-// absolute expiry (0 = never): the origin of a BroadcastWith stamps its
-// first-hop gossip items with the caller's flow-control options.
-func (n *Node) sendViaEgressWith(src, dst group.Composition, kind group.Kind, msgID crypto.Digest, payload []byte, class egress.Class, expires time.Duration) {
-	if n.cfg.EgressGossipOnly && kind != kindGossip {
+// sendViaEgressWith is sendViaEgress for a prepared item, with an explicit
+// priority class and absolute expiry (0 = never): the origin of a
+// BroadcastWith stamps its first-hop gossip items with the caller's
+// flow-control options, and a gossip forward sets the item's payload digest
+// once for all of its links.
+func (n *Node) sendViaEgressWith(src, dst group.Composition, it group.BatchItem, class egress.Class, expires time.Duration) {
+	if n.cfg.EgressGossipOnly && it.Kind != kindGossip {
 		// Ablation/baseline: only the gossip kind rides the scheduler.
-		group.Send(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst, kind, msgID, payload)
+		group.SendItem(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst, it)
 		return
 	}
-	n.egress.EnqueueGroupWith(src, dst,
-		group.BatchItem{Kind: kind, MsgID: msgID, Payload: payload},
-		n.cfg.Mode == smr.ModeSync, class, expires)
+	n.egress.EnqueueGroupWith(src, dst, it, n.cfg.Mode == smr.ModeSync, class, expires)
 }
 
 // egressFlush is the scheduler's transmit callback: it frames one
@@ -144,9 +144,7 @@ func (n *Node) egressFlush(src, dst group.Composition, node ids.NodeID, items []
 	if len(items) == 1 {
 		// A single pending item flushes as a plain group message: the batch
 		// frame would only add overhead.
-		it := items[0]
-		group.Send(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst,
-			it.Kind, it.MsgID, it.Payload)
+		group.SendItem(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst, items[0])
 		return
 	}
 	n.egressSeq++
@@ -157,7 +155,7 @@ func (n *Node) egressFlush(src, dst group.Composition, node ids.NodeID, items []
 // batchMsgID identifies one batch carrier. It is unique per sender, not
 // matched across members: inner MsgIDs carry the logical identities.
 func batchMsgID(src group.Composition, dst ids.GroupID, self ids.NodeID, seq uint64) crypto.Digest {
-	d := crypto.Hash([]byte("atum-gbatch"))
+	d := tagBatch
 	d = crypto.HashUint64(d, uint64(src.GroupID))
 	d = crypto.HashUint64(d, src.Epoch)
 	d = crypto.HashUint64(d, uint64(dst))

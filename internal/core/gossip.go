@@ -27,15 +27,20 @@ func (n *Node) BroadcastWith(data []byte, opts BroadcastOpts) error {
 		return ErrBroadcastTooLarge
 	}
 	n.opSeq++
-	id := crypto.Hash([]byte("atum-bcast"))
-	id = crypto.HashUint64(id, uint64(n.cfg.Identity.ID))
-	id = crypto.HashUint64(id, n.opSeq)
-	id = crypto.Hash(id[:], data)
+	id := newBcastID(n.cfg.Identity.ID, n.opSeq, data)
 	if opts != (BroadcastOpts{}) {
 		n.rememberBcastOpts(id, opts)
 	}
 	n.proposeOp(bcastOp{BcastID: id, Origin: n.cfg.Identity.ID, Data: data})
 	return nil
+}
+
+// newBcastID identifies one broadcast by its origin, the origin's operation
+// sequence number, and the data.
+func newBcastID(origin ids.NodeID, seq uint64, data []byte) crypto.Digest {
+	id := crypto.HashUint64(tagBcast, uint64(origin))
+	id = crypto.HashUint64(id, seq)
+	return crypto.Hash(id[:], data)
 }
 
 // maxBcastOpts bounds the pending-options map: entries are consumed when the
@@ -127,6 +132,9 @@ func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
 		expires = n.env.Now() + opts.TTL
 	}
 	payload := n.encPayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data, Hops: d.Hops + 1})
+	// The payload is the same on every link: hash it once, at the first
+	// eager link, instead of once per link at framing time.
+	var digest crypto.Digest
 	n.treeRemember(d)
 	sent := make(map[group.Key]bool)
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
@@ -146,9 +154,12 @@ func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
 				n.treeAnnounce(nbr, d)
 				continue
 			}
-			msgID := gossipMsgID(d.BcastID, st.comp, nbr.GroupID)
-			n.sendViaEgressWith(st.comp, nbr, kindGossip, msgID, payload,
-				egress.Class(opts.Priority), expires)
+			if digest.IsZero() {
+				digest = crypto.Hash(payload)
+			}
+			it := group.BatchItem{Kind: kindGossip, MsgID: gossipMsgID(d.BcastID, st.comp, nbr.GroupID),
+				Payload: payload, Digest: digest}
+			n.sendViaEgressWith(st.comp, nbr, it, egress.Class(opts.Priority), expires)
 		}
 	}
 }
@@ -200,7 +211,7 @@ func (n *Node) applyCycleAssign(p cycleAssignPayload) {
 }
 
 func setNbrMsgID(src group.Composition, dst ids.GroupID, cycle int, dir overlay.Direction) crypto.Digest {
-	d := crypto.Hash([]byte("atum-setnbr"))
+	d := tagSetNbr
 	d = crypto.HashUint64(d, uint64(src.GroupID))
 	d = crypto.HashUint64(d, src.Epoch)
 	d = crypto.HashUint64(d, uint64(dst))
@@ -256,7 +267,7 @@ func (n *Node) maybeRefreshSender(m group.GroupMsg) {
 }
 
 func freshMsgID(cur group.Composition, to ids.GroupID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-fresh"))
+	d := tagFresh
 	d = crypto.HashUint64(d, uint64(cur.GroupID))
 	d = crypto.HashUint64(d, cur.Epoch)
 	d = crypto.HashUint64(d, uint64(to))

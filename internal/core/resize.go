@@ -336,7 +336,7 @@ func (n *Node) applyMergeReject() {
 // deriveGroupID mints a fresh GroupID for a split. IDs are digests of the
 // parent lineage, so clashes are negligible.
 func deriveGroupID(parent ids.GroupID, epoch uint64) ids.GroupID {
-	d := crypto.Hash([]byte("atum-gid"))
+	d := tagGroupID
 	d = crypto.HashUint64(d, uint64(parent))
 	d = crypto.HashUint64(d, epoch)
 	g := ids.GroupID(uint64(d.Seed()))
@@ -347,7 +347,7 @@ func deriveGroupID(parent ids.GroupID, epoch uint64) ids.GroupID {
 }
 
 func cycleAssignMsgID(src group.Composition, dst ids.GroupID, cycle int) crypto.Digest {
-	d := crypto.Hash([]byte("atum-cassign"))
+	d := tagCycleAssign
 	d = crypto.HashUint64(d, uint64(src.GroupID))
 	d = crypto.HashUint64(d, src.Epoch)
 	d = crypto.HashUint64(d, uint64(dst))

@@ -335,7 +335,7 @@ func bytesLess(a, b []byte) bool {
 
 // treeRank orders the in-links of vgroup dst deterministically.
 func treeRank(dst, src ids.GroupID) crypto.Digest {
-	d := crypto.Hash([]byte("atum-tree-rank"))
+	d := tagTreeRank
 	d = crypto.HashUint64(d, uint64(dst))
 	d = crypto.HashUint64(d, uint64(src))
 	return d
@@ -376,12 +376,11 @@ func (n *Node) treeDuplicate(src group.Key, bcastID crypto.Digest) {
 		return
 	}
 	payload := n.encPayload(prunePayload{BcastID: bcastID})
-	n.sendViaEgressWith(n.st.comp, dst, kindPrune,
-		pruneMsgID(n.st.comp, src.GroupID, bcastID), payload, egress.ClassControl, 0)
+	n.sendViaEgress(n.st.comp, dst, kindPrune, pruneMsgID(n.st.comp, src.GroupID, bcastID), payload)
 }
 
 func pruneMsgID(src group.Composition, dst ids.GroupID, bcastID crypto.Digest) crypto.Digest {
-	d := crypto.Hash([]byte("atum-prune"))
+	d := tagPrune
 	d = crypto.HashUint64(d, uint64(src.GroupID))
 	d = crypto.HashUint64(d, src.Epoch)
 	d = crypto.HashUint64(d, uint64(dst))
@@ -509,7 +508,7 @@ func (n *Node) handleTreeMiss(bcastID crypto.Digest) {
 }
 
 func graftMsgID(src group.Composition, dst ids.GroupID, bcastID crypto.Digest) crypto.Digest {
-	d := crypto.Hash([]byte("atum-graft"))
+	d := tagGraft
 	d = crypto.HashUint64(d, uint64(src.GroupID))
 	d = crypto.HashUint64(d, src.Epoch)
 	d = crypto.HashUint64(d, uint64(dst))
@@ -546,8 +545,7 @@ func (n *Node) handleGraft(from ids.NodeID, gid ids.GroupID, comp group.Composit
 		payload := n.encPayload(gossipPayload{BcastID: id, Origin: cb.origin, Data: cb.data, Hops: cb.hops})
 		// ClassControl, no expiry: shedding a repair payload would silently
 		// re-open the miss window the graft just closed.
-		n.sendViaEgressWith(n.st.comp, comp, kindGossip,
-			gossipMsgID(id, n.st.comp, gid), payload, egress.ClassControl, 0)
+		n.sendViaEgress(n.st.comp, comp, kindGossip, gossipMsgID(id, n.st.comp, gid), payload)
 	}
 }
 

@@ -30,7 +30,12 @@ const DigestSize = 32
 type Digest [DigestSize]byte
 
 // Hash computes the SHA-256 digest of the concatenation of the given chunks.
+// It does not allocate, and chunks do not escape, so callers may pass slices
+// of stack arrays.
 func Hash(chunks ...[]byte) Digest {
+	if len(chunks) == 1 {
+		return sha256.Sum256(chunks[0])
+	}
 	h := sha256.New()
 	for _, c := range chunks {
 		h.Write(c)
@@ -41,11 +46,13 @@ func Hash(chunks ...[]byte) Digest {
 }
 
 // HashUint64 folds a uint64 into a digest computation; convenient for
-// deriving deterministic seeds from structured values.
+// deriving deterministic seeds from structured values. It equals
+// Hash(d[:], big-endian v) and never allocates.
 func HashUint64(d Digest, v uint64) Digest {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return Hash(d[:], b[:])
+	var b [DigestSize + 8]byte
+	copy(b[:], d[:])
+	binary.BigEndian.PutUint64(b[DigestSize:], v)
+	return sha256.Sum256(b[:])
 }
 
 // Seed derives a deterministic int64 PRNG seed from a digest.

@@ -2,6 +2,9 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -131,4 +134,74 @@ func BenchmarkVerify(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestHashMatchesSum256Property pins Hash to plain SHA-256 of the chunk
+// concatenation over random splits, including empty chunks, single chunks,
+// and inputs larger than several SHA-256 blocks and any stack buffer.
+func TestHashMatchesSum256Property(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{0, 1, 31, 32, 40, 55, 56, 64, 255, 256, 257, 4096, 70000} {
+		for trial := 0; trial < 20; trial++ {
+			data := make([]byte, size)
+			rng.Read(data)
+			want := Digest(sha256.Sum256(data))
+			var chunks [][]byte
+			for rest := data; ; {
+				if rng.Intn(4) == 0 {
+					chunks = append(chunks, []byte{}) // empty chunk
+				}
+				if len(rest) == 0 {
+					break
+				}
+				k := rng.Intn(len(rest) + 1)
+				chunks = append(chunks, rest[:k])
+				rest = rest[k:]
+			}
+			if got := Hash(chunks...); got != want {
+				t.Fatalf("size %d, %d chunks: Hash != sha256.Sum256 of the concatenation", size, len(chunks))
+			}
+		}
+	}
+	if Hash() != Digest(sha256.Sum256(nil)) {
+		t.Fatal("Hash() != sha256 of the empty input")
+	}
+}
+
+// TestHashUint64MatchesHash pins HashUint64(d, v) to Hash(d, be64(v)).
+func TestHashUint64MatchesHash(t *testing.T) {
+	f := func(seed []byte, v uint64) bool {
+		d := Hash(seed)
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], v)
+		return HashUint64(d, v) == Hash(d[:], b[:])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHashDoesNotAllocate pins the allocation-free paths: HashUint64, a
+// single-chunk Hash, and a short multi-chunk Hash over a stack array.
+func TestHashDoesNotAllocate(t *testing.T) {
+	payload := bytes.Repeat([]byte("p"), 4096)
+	d := Hash([]byte("tag"))
+	var sink Digest
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"HashUint64", func() { sink = HashUint64(d, 42) }},
+		{"single chunk", func() { sink = Hash(payload) }},
+		{"tag+digest", func() {
+			var id Digest
+			sink = Hash([]byte("atum-gossip"), id[:])
+		}},
+	}
+	for _, c := range cases {
+		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", c.name, allocs)
+		}
+	}
+	_ = sink
 }

@@ -159,7 +159,7 @@ func egressScenario(n, publishers, rounds int, gossipOnly bool, seed int64) (Egr
 		if r < len(leavers) {
 			_ = leavers[r].Leave()
 		}
-		fresh := cl.addNode(atum.BehaviorCorrect)
+		fresh := cl.addNode()
 		fresh.Inner().SetEgressGossipOnly(gossipOnly)
 		_ = fresh.Join(contact)
 		for i, p := range pubs {

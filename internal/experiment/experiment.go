@@ -6,7 +6,8 @@
 // Absolute numbers differ from the paper's EC2 testbed; the shapes —
 // exponential growth, bounded Sync latency vs low-median Async latency,
 // no decay under Byzantine faults, parallel-GET gains, suppression under
-// aggressive growth — are the reproduction targets (see EXPERIMENTS.md).
+// aggressive growth — are the reproduction targets (the README's
+// "Benchmarks and experiments" section records reference numbers).
 package experiment
 
 import (
@@ -129,7 +130,7 @@ func (cl *cluster) levelToward(sender, dest atum.NodeID) atum.PressureLevel {
 	return cl.pressure[sender][dest]
 }
 
-func (cl *cluster) addNode(behavior atum.Behavior) *atum.Node {
+func (cl *cluster) addNode() *atum.Node {
 	var n *atum.Node
 	var id atum.NodeID
 	cb := atum.Callbacks{
@@ -160,26 +161,20 @@ func (cl *cluster) addNode(behavior atum.Behavior) *atum.Node {
 	}
 	n = cl.c.AddNode(cb)
 	id = n.Identity().ID
-	if behavior != atum.BehaviorCorrect {
-		// Behaviour activates once the node is a member (experiment nodes
-		// join correctly first).
-		inner := n.Inner()
-		_ = inner
-	}
 	cl.nodes = append(cl.nodes, n)
 	return n
 }
 
 // grow bootstraps the first node and joins count-1 more, one at a time.
 func (cl *cluster) grow(count int, perJoin time.Duration) error {
-	first := cl.addNode(atum.BehaviorCorrect)
+	first := cl.addNode()
 	cl.c.Run(10 * time.Millisecond)
 	if err := first.Bootstrap(); err != nil {
 		return err
 	}
 	contact := first.Identity()
 	for i := 1; i < count; i++ {
-		n := cl.addNode(atum.BehaviorCorrect)
+		n := cl.addNode()
 		cl.c.Run(10 * time.Millisecond)
 		if err := n.Join(contact); err != nil {
 			return err
@@ -209,14 +204,14 @@ func (cl *cluster) members() int {
 func Fig6(mode smr.Mode, target int, seed int64) Table {
 	cl := newCluster(mode, seed, nil, func(cfg *atum.Config) {
 		cfg.Params = atum.Params{HC: 3, RWL: 4, GMax: 8, GMin: 4}
-		cfg.DisableShuffle = true // growth-rate experiment; see DESIGN.md limitations
+		cfg.DisableShuffle = true // growth-rate experiment
 	})
 	t := Table{
 		Title:  fmt.Sprintf("Fig 6: growth to %d nodes (%v)", target, mode),
 		Header: []string{"virtual_seconds", "members"},
 	}
 	start := cl.c.Now()
-	first := cl.addNode(atum.BehaviorCorrect)
+	first := cl.addNode()
 	cl.c.Run(10 * time.Millisecond)
 	if err := first.Bootstrap(); err != nil {
 		t.Remarks = append(t.Remarks, "bootstrap failed: "+err.Error())
@@ -236,7 +231,7 @@ func Fig6(mode smr.Mode, target int, seed int64) Table {
 		// system, the faster it absorbs joiners).
 		wave := cl.members()/4 + 1
 		for i := 0; i < wave && next < target*2; i++ {
-			n := cl.addNode(atum.BehaviorCorrect)
+			n := cl.addNode()
 			next++
 			_ = n.Join(contact)
 		}
@@ -662,7 +657,7 @@ func growthExchanges(target, ratePctPerMin int, seed int64) (completed, suppress
 	cl := newCluster(smr.ModeSync, seed, nil, func(cfg *atum.Config) {
 		cfg.Params = atum.Params{HC: 2, RWL: 3, GMax: 6, GMin: 3}
 	})
-	first := cl.addNode(atum.BehaviorCorrect)
+	first := cl.addNode()
 	cl.c.Run(10 * time.Millisecond)
 	if err := first.Bootstrap(); err != nil {
 		return 0, 0
@@ -676,7 +671,7 @@ func growthExchanges(target, ratePctPerMin int, seed int64) (completed, suppress
 			wave = 1
 		}
 		for i := 0; i < wave; i++ {
-			n := cl.addNode(atum.BehaviorCorrect)
+			n := cl.addNode()
 			_ = n.Join(contact)
 		}
 		cl.c.Run(time.Minute)

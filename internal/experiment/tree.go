@@ -99,7 +99,7 @@ func treeScenario(n, publishers, rounds int, treeOn bool, seed int64) (TreeTraff
 		if r < len(leavers) {
 			_ = leavers[r].Leave()
 		}
-		fresh := cl.addNode(atum.BehaviorCorrect)
+		fresh := cl.addNode()
 		fresh.Inner().SetTreeGossip(treeOn)
 		_ = fresh.Join(contact)
 		for i, p := range pubs {

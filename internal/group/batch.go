@@ -48,6 +48,20 @@ type BatchItem struct {
 	// the receiver; only senders that construct the MsgID that way may set
 	// it.
 	DerivedID bool
+	// Digest is the payload digest when the sender has already computed it
+	// (a gossip forward hashes its payload once for all of its links); zero
+	// means "not computed" and the frame writer hashes the payload itself.
+	// A non-zero Digest must be crypto.Hash(Payload).
+	Digest crypto.Digest
+}
+
+// payloadDigest returns the item's payload digest, hashing only when the
+// sender did not supply one.
+func (it BatchItem) payloadDigest() crypto.Digest {
+	if !it.Digest.IsZero() {
+		return it.Digest
+	}
+	return crypto.Hash(it.Payload)
 }
 
 // MaxBatchItems bounds how many inner items one batch frame may carry,
@@ -156,7 +170,7 @@ func encodeBatchFrameV2(items []BatchItem, full bool) []byte {
 				encodePayloadForm(e, it.Payload, fulls)
 				fulls = append(fulls, it.Payload)
 			} else {
-				e.Bytes32(crypto.Hash(it.Payload))
+				e.Bytes32(it.payloadDigest())
 			}
 		}
 		i += run
@@ -247,7 +261,10 @@ func commonSuffixLen(a, b []byte, max int) int {
 // decodedBatchItem is one inner item recovered from a batch frame. Payload is
 // nil on digest-only copies. Literal payloads alias the frame buffer (the
 // zero-copy decode path); back-referenced payloads are reconstructed into
-// fresh allocations.
+// the frame's shared arena. digest is the claimed digest of a digest-only
+// item and the computed digest of a derived-MsgID item; a full item with a
+// MsgID on the wire leaves it zero — the frame carries no digest for it, and
+// the inbox derives one from the bytes only if the copy still needs a vote.
 type decodedBatchItem struct {
 	kind    Kind
 	msgID   crypto.Digest
@@ -303,17 +320,7 @@ func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
 	bit := func(bm []byte, i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
 
 	items := make([]decodedBatchItem, 0, n)
-	st := batchDecodeState{budget: decodeBudget(len(b))}
-	// Pre-size the reconstruction arena: honest frames expand a few-fold at
-	// most (back-references replace shared bytes, middles stay literal), so
-	// 4× the remaining frame usually avoids every growth copy; the cap keeps
-	// a hostile count from buying a large up-front allocation.
-	if guess := 4 * len(b); guess > 0 {
-		if guess > 1<<16 {
-			guess = 1 << 16
-		}
-		st.arena = make([]byte, 0, guess)
-	}
+	st := batchDecodeState{budget: decodeBudget(len(b)), frameLen: len(b)}
 	for len(items) < n {
 		kind := Kind(d.Byte())
 		run := d.ListLen()
@@ -336,7 +343,11 @@ func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
 					return nil, err
 				}
 				it.payload = p
-				it.digest = crypto.Hash(p)
+				if derived {
+					// The MsgID is the payload digest by construction and
+					// the frame omits it, so it can only come from here.
+					it.digest = crypto.Hash(p)
+				}
 				st.fulls = append(st.fulls, p)
 			} else {
 				it.digest = d.Bytes32()
@@ -362,9 +373,10 @@ func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
 // sub-slices, so a frame pays O(1) reconstruction allocations instead of one
 // per compressed item.
 type batchDecodeState struct {
-	fulls  [][]byte
-	arena  []byte
-	budget int
+	fulls    [][]byte
+	arena    []byte
+	budget   int
+	frameLen int // sizes the arena at the first back-reference
 }
 
 // decodePayloadForm reads one full payload (literal or back-reference).
@@ -410,6 +422,18 @@ func (st *batchDecodeState) decodePayloadForm(d *wire.Decoder) ([]byte, error) {
 		st.budget -= total
 		if total == 0 {
 			return []byte{}, nil
+		}
+		if st.arena == nil {
+			// Allocate the arena at the first back-reference, sized so an
+			// honest frame (which expands a few-fold at most: references
+			// replace shared bytes, middles stay literal) never regrows it;
+			// the cap keeps a hostile frame from buying a large allocation
+			// up front. Frames without back-references allocate nothing.
+			guess := 4 * st.frameLen
+			if guess > 1<<16 {
+				guess = 1 << 16
+			}
+			st.arena = make([]byte, 0, guess)
 		}
 		// Appends never overlap cand even when cand aliases the arena: cand
 		// ends at or before the current length, writes start at it. The
@@ -486,8 +510,16 @@ func SendBatchToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeI
 // UnpackBatch recovers the inner logical messages of a batch carrier. Each
 // returned GroupMsg inherits the carrier's source and destination headers and
 // is ready for Inbox.Observe under the same link-authenticated sender.
-// Payloads may alias m.Payload (the zero-copy decode path): treat them as
-// read-only, and note that retaining one retains the whole frame.
+//
+// Fields filled per item: SrcGroup, SrcEpoch, DstGroup and DstEpoch from the
+// carrier; Kind and MsgID always (a derived-MsgID item's MsgID is the digest
+// of its payload); Payload on full copies only (nil on digest-only copies).
+// PayloadDigest is the claimed digest on digest-only copies and the payload
+// digest on derived-MsgID items, but zero on other full copies: the frame
+// carries no digest for them and the decoder does not hash them, so
+// Inbox.Observe derives the digest from the bytes (see there). Attach is
+// never set. Payloads may alias m.Payload (the zero-copy decode path): treat
+// them as read-only, and note that retaining one retains the whole frame.
 func UnpackBatch(m GroupMsg) ([]GroupMsg, error) {
 	items, err := decodeBatchFrame(m.Payload)
 	if err != nil {

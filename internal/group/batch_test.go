@@ -64,8 +64,10 @@ func TestBatchFrameRoundTripFull(t *testing.T) {
 		if it.payload == nil || !bytes.Equal(it.payload, items[i].Payload) {
 			t.Errorf("item %d payload = %q, want %q", i, it.payload, items[i].Payload)
 		}
-		if it.digest != crypto.Hash(items[i].Payload) {
-			t.Errorf("item %d digest not derived from payload", i)
+		// A full item with its MsgID on the wire carries no digest: the
+		// decoder must not hash it (Inbox.Observe derives it if needed).
+		if !it.digest.IsZero() {
+			t.Errorf("item %d: decoder hashed a full non-derived payload", i)
 		}
 	}
 }
@@ -539,12 +541,15 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Whatever decodes must be self-consistent: full payloads hash to
-		// their digest (digest-only items lack the payload, so only the
-		// decoded structure is checkable).
+		// Whatever decodes must be self-consistent: a full item either
+		// carries no digest (its MsgID was on the wire) or is a derived
+		// item, whose digest is its payload's and doubles as its MsgID
+		// (digest-only items lack the payload, so only the decoded
+		// structure is checkable).
 		for _, it := range items {
-			if it.payload != nil && crypto.Hash(it.payload) != it.digest {
-				t.Fatal("full item digest not derived from payload")
+			if it.payload != nil && !it.digest.IsZero() &&
+				(crypto.Hash(it.payload) != it.digest || it.msgID != it.digest) {
+				t.Fatal("derived item digest not derived from payload")
 			}
 		}
 	})
@@ -597,4 +602,37 @@ func BenchmarkBatchEncodeDecode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestPrecomputedItemDigestIsWireIdentical: a sender that supplies
+// BatchItem.Digest produces the same bytes as one that lets the framing
+// code hash the payload, on both the batch and the single-message path.
+func TestPrecomputedItemDigestIsWireIdentical(t *testing.T) {
+	items := batchItems("alpha", "beta-beta")
+	withDigest := append([]BatchItem(nil), items...)
+	for i := range withDigest {
+		withDigest[i].Digest = crypto.Hash(withDigest[i].Payload)
+	}
+	for _, full := range []bool{true, false} {
+		if !bytes.Equal(encodeBatchFrameV2(items, full), encodeBatchFrameV2(withDigest, full)) {
+			t.Errorf("full=%v: precomputed digests changed the frame", full)
+		}
+	}
+	src := comp(1, 1, 1, 2, 3)
+	dst := comp(2, 1, 10, 11)
+	for _, self := range []ids.NodeID{1, 3} { // a full sender and a digest-only sender
+		var plain, reused []GroupMsg
+		Send(func(_ ids.NodeID, m actor.Message) { plain = append(plain, m.(GroupMsg)) },
+			rand.New(rand.NewSource(1)), src, self, dst, items[0].Kind, items[0].MsgID, items[0].Payload)
+		SendItem(func(_ ids.NodeID, m actor.Message) { reused = append(reused, m.(GroupMsg)) },
+			rand.New(rand.NewSource(1)), src, self, dst, withDigest[0])
+		if len(plain) != len(reused) {
+			t.Fatalf("sender %d: %d vs %d copies", self, len(plain), len(reused))
+		}
+		for i := range plain {
+			if !bytes.Equal(wire.Encode(plain[i]), wire.Encode(reused[i])) {
+				t.Errorf("sender %d copy %d: SendItem differs from Send on the wire", self, i)
+			}
+		}
+	}
 }

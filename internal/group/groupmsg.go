@@ -33,7 +33,13 @@ type GroupMsg struct {
 	// deterministically from the SMR operation that caused the send, so
 	// all members of the source group produce the same MsgID.
 	MsgID crypto.Digest
-	// PayloadDigest is the digest of Payload; always present.
+	// PayloadDigest is the digest of Payload. Every sender puts it on the
+	// wire, and a digest-only copy votes with it alone. For a full copy the
+	// inbox trusts the bytes, not the claim: Inbox.Observe derives the
+	// digest from the payload and drops a copy whose non-zero claim
+	// disagrees. Inner items unpacked from a batch frame leave it zero on
+	// full copies, because the frame carries no digest for them
+	// (UnpackBatch).
 	PayloadDigest crypto.Digest
 	// Payload is nil on digest-only copies.
 	Payload []byte
@@ -103,16 +109,30 @@ func Send(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Com
 
 // SendAttach is Send with a sender-specific attachment.
 func SendAttach(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, kind Kind, msgID crypto.Digest, payload, attach []byte) {
-	msg := GroupMsg{
-		SrcGroup:      src.GroupID,
-		SrcEpoch:      src.Epoch,
-		DstGroup:      dst.GroupID,
-		DstEpoch:      dst.Epoch,
+	sendCopies(send, rng, src, self, dst, GroupMsg{
 		Kind:          kind,
 		MsgID:         msgID,
 		PayloadDigest: crypto.Hash(payload),
 		Attach:        attach,
-	}
+	}, payload)
+}
+
+// SendItem is Send for one queued egress item. It reuses the item's payload
+// digest when the sender already computed it (BatchItem.Digest).
+func SendItem(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, it BatchItem) {
+	sendCopies(send, rng, src, self, dst, GroupMsg{
+		Kind:          it.Kind,
+		MsgID:         it.MsgID,
+		PayloadDigest: it.payloadDigest(),
+	}, it.Payload)
+}
+
+// sendCopies stamps msg with the source and destination headers, attaches
+// the payload if self is among the majority of full senders, and transmits
+// one copy to every member of dst in random order.
+func sendCopies(send SendFn, rng *rand.Rand, src Composition, self ids.NodeID, dst Composition, msg GroupMsg, payload []byte) {
+	msg.SrcGroup, msg.SrcEpoch = src.GroupID, src.Epoch
+	msg.DstGroup, msg.DstEpoch = dst.GroupID, dst.Epoch
 	if idx := src.Index(self); idx >= 0 && idx < src.Majority() {
 		msg.Payload = payload
 	}
@@ -169,7 +189,8 @@ type Accepted struct {
 	MsgID   crypto.Digest
 	Payload []byte
 	// Attachments maps each voting sender to its sender-specific attachment
-	// (votes for the winning digest only).
+	// (composition members that voted for the winning digest only; nil when
+	// none of them attached anything).
 	Attachments map[ids.NodeID][]byte
 	// At is the local arrival time of the vote that crossed the threshold.
 	At time.Duration
