@@ -212,11 +212,11 @@ func (s *Service) Put(name string, content []byte) (FileMeta, error) {
 		meta.ChunkDigests = append(meta.ChunkDigests, crypto.Hash(nil))
 	}
 	s.chunks[key] = parts
-	if err := s.node.BroadcastWith(encodeRecord(putRecord{Meta: meta}), atum.BroadcastOpts{}); err != nil {
+	if err := s.broadcastRecord(putRecord{Meta: meta}); err != nil {
 		return FileMeta{}, err
 	}
 	// Announce ourselves as the first replica.
-	if err := s.node.BroadcastWith(encodeRecord(replicaRecord{Key: key, Node: key.Owner}), atum.BroadcastOpts{}); err != nil {
+	if err := s.broadcastRecord(replicaRecord{Key: key, Node: key.Owner}); err != nil {
 		return FileMeta{}, err
 	}
 	return meta, nil
@@ -229,7 +229,17 @@ func (s *Service) Delete(name string) error {
 		return errors.New("ashare: unbound service")
 	}
 	key := FileKey{Owner: s.node.Identity().ID, Name: name}
-	return s.node.BroadcastWith(encodeRecord(deleteRecord{Key: key}), atum.BroadcastOpts{})
+	return s.broadcastRecord(deleteRecord{Key: key})
+}
+
+// broadcastRecord publishes one index update record, framed by the wire
+// codec so every member of the sending vgroup broadcasts identical bytes.
+func (s *Service) broadcastRecord(r any) error {
+	b, err := atum.MarshalRawMessage(r)
+	if err != nil {
+		return err
+	}
+	return s.node.BroadcastWith(b, atum.BroadcastOpts{})
 }
 
 // Search returns the metadata of files whose key contains the term (§4.2.2:
@@ -410,7 +420,7 @@ func (s *Service) handleChunk(from atum.NodeID, m chunkResponse) {
 
 // deliver processes broadcast index updates (PUT/replica/DELETE records).
 func (s *Service) deliver(d atum.Delivery) {
-	v, err := decodeRecord(d.Data)
+	v, err := atum.UnmarshalRawMessage(d.Data)
 	if err != nil {
 		return
 	}
@@ -483,7 +493,7 @@ func (s *Service) maybeReplicate(key FileKey) {
 			parts = append(parts, content[off:end])
 		}
 		s.chunks[key] = parts
-		_ = s.node.BroadcastWith(encodeRecord(replicaRecord{Key: key, Node: self}), atum.BroadcastOpts{})
+		_ = s.broadcastRecord(replicaRecord{Key: key, Node: self})
 	})
 }
 

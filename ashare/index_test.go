@@ -86,8 +86,11 @@ func TestBuildMetaChunks(t *testing.T) {
 
 func TestRecordCodecRoundTrip(t *testing.T) {
 	m := meta(9, "x", 42)
-	b := encodeRecord(putRecord{Meta: m})
-	v, err := decodeRecord(b)
+	b, err := atum.MarshalRawMessage(putRecord{Meta: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := atum.UnmarshalRawMessage(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,16 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if !ok || pr.Meta.Key != m.Key || pr.Meta.Size != 42 {
 		t.Fatalf("round trip = %+v", v)
 	}
-	if _, err := decodeRecord([]byte("garbage")); err == nil {
+	for _, r := range []any{replicaRecord{Key: m.Key, Node: 3}, deleteRecord{Key: m.Key}} {
+		b, err := atum.MarshalRawMessage(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := atum.UnmarshalRawMessage(b); err != nil || v != r {
+			t.Fatalf("round trip of %+v = %+v, %v", r, v, err)
+		}
+	}
+	if _, err := atum.UnmarshalRawMessage([]byte("garbage")); err == nil {
 		t.Error("garbage should not decode")
 	}
 }

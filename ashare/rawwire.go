@@ -4,8 +4,10 @@ package ashare
 // SendRaw type — chunk transfer and the ring-index RPCs — is registered with
 // the engine's raw-message codec registry, so this traffic is wire-codable:
 // the egress scheduler coalesces concurrent messages per destination node
-// into batch carriers, and TCP transports frame them through the wire codec
-// instead of the gob fallback. Tags are append-only wire contracts.
+// into batch carriers, and TCP transports frame them through the wire codec.
+// The index update records broadcast through Atum are registered too, so
+// their payloads are canonical wire frames. Tags are append-only wire
+// contracts.
 
 import (
 	"atum"
@@ -20,6 +22,9 @@ const (
 	rawTagRingErase     = 0x93
 	rawTagRingGet       = 0x94
 	rawTagRingFound     = 0x95
+	rawTagPutRecord     = 0x96
+	rawTagReplicaRecord = 0x97
+	rawTagDeleteRecord  = 0x98
 )
 
 func marshalFileKey(e *atum.WireEncoder, k FileKey) {
@@ -105,5 +110,28 @@ func init() {
 		},
 		func(d *atum.WireDecoder) any {
 			return ringFound{Seq: d.Uint64(), Has: d.Bool(), Meta: unmarshalFileMeta(d)}
+		})
+	atum.RegisterRawMessage(rawTagPutRecord, putRecord{},
+		func(v any, e *atum.WireEncoder) {
+			marshalFileMeta(e, v.(putRecord).Meta)
+		},
+		func(d *atum.WireDecoder) any {
+			return putRecord{Meta: unmarshalFileMeta(d)}
+		})
+	atum.RegisterRawMessage(rawTagReplicaRecord, replicaRecord{},
+		func(v any, e *atum.WireEncoder) {
+			m := v.(replicaRecord)
+			marshalFileKey(e, m.Key)
+			e.Uint64(uint64(m.Node))
+		},
+		func(d *atum.WireDecoder) any {
+			return replicaRecord{Key: unmarshalFileKey(d), Node: atum.NodeID(d.Uint64())}
+		})
+	atum.RegisterRawMessage(rawTagDeleteRecord, deleteRecord{},
+		func(v any, e *atum.WireEncoder) {
+			marshalFileKey(e, v.(deleteRecord).Key)
+		},
+		func(d *atum.WireDecoder) any {
+			return deleteRecord{Key: unmarshalFileKey(d)}
 		})
 }

@@ -24,8 +24,6 @@ package astream
 
 import (
 	"bytes"
-	"encoding/gob"
-	"sync"
 	"time"
 
 	"atum"
@@ -88,12 +86,16 @@ type dataMsg struct {
 // WireSize implements the bandwidth model's sizer.
 func (d dataMsg) WireSize() int { return 32 + len(d.Data) }
 
-// rawTagData is AStream's wire extension tag for dataMsg (docs/WIRE.md:
-// astream owns 0x80–0x8F). Registration makes tier-2 pushes wire-codable:
-// the engine's egress scheduler coalesces concurrent chunks per destination
-// node into batch carriers, and TCP transports frame them through the wire
-// codec instead of the gob fallback.
-const rawTagData = 0x80
+// AStream's wire extension tags (docs/WIRE.md: astream owns 0x80–0x8F).
+// Append-only; never reorder or reuse. dataMsg rides SendRaw: the engine's
+// egress scheduler coalesces concurrent chunks per destination node into
+// batch carriers, and TCP transports frame them through the wire codec.
+// digestMsg is the tier-1 broadcast payload: one canonical frame, so every
+// member of the source vgroup broadcasts identical bytes.
+const (
+	rawTagData   = 0x80
+	rawTagDigest = 0x81
+)
 
 func init() {
 	atum.RegisterRawMessage(rawTagData, dataMsg{},
@@ -104,6 +106,15 @@ func init() {
 		},
 		func(d *atum.WireDecoder) any {
 			return dataMsg{Seq: d.Uint64(), Data: d.VarBytes()}
+		})
+	atum.RegisterRawMessage(rawTagDigest, digestMsg{},
+		func(v any, e *atum.WireEncoder) {
+			m := v.(digestMsg)
+			e.Uint64(m.Seq)
+			e.Bytes32(m.Digest)
+		},
+		func(d *atum.WireDecoder) any {
+			return digestMsg{Seq: d.Uint64(), Digest: crypto.Digest(d.Bytes32())}
 		})
 }
 
@@ -189,7 +200,11 @@ func (s *Service) Shed() uint64 { return s.shed }
 // Publish sends one stream chunk: the digest through Atum (tier 1), the
 // data through the push multicast (tier 2).
 func (s *Service) Publish(seq uint64, data []byte) error {
-	if err := s.node.BroadcastWith(encodeStream(digestMsg{Seq: seq, Digest: crypto.Hash(data)}), atum.BroadcastOpts{}); err != nil {
+	payload, err := atum.MarshalRawMessage(digestMsg{Seq: seq, Digest: crypto.Hash(data)})
+	if err != nil {
+		return err
+	}
+	if err := s.node.BroadcastWith(payload, atum.BroadcastOpts{}); err != nil {
 		return err
 	}
 	s.pushData(dataMsg{Seq: seq, Data: data}, false)
@@ -305,7 +320,7 @@ func (s *Service) pushData(m dataMsg, speculative bool) {
 
 // deliverDigest processes tier-1 digests.
 func (s *Service) deliverDigest(d atum.Delivery) {
-	v, err := decodeStream(d.Data)
+	v, err := atum.UnmarshalRawMessage(d.Data)
 	if err != nil {
 		return
 	}
@@ -371,35 +386,4 @@ func (s *Service) TierTwoLatency(seq uint64) (time.Duration, bool) {
 func (s *Service) DigestLatencyOf(seq uint64) (time.Duration, bool) {
 	at, ok := s.digestAt[seq]
 	return at, ok
-}
-
-// --- codec ---
-
-var streamOnce sync.Once
-
-func registerStream() {
-	gob.Register(digestMsg{})
-	gob.Register(dataMsg{})
-}
-
-func encodeStream(v any) []byte {
-	streamOnce.Do(registerStream)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&streamEnvelope{V: v}); err != nil {
-		panic("astream: encode: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func decodeStream(b []byte) (any, error) {
-	streamOnce.Do(registerStream)
-	var env streamEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, err
-	}
-	return env.V, nil
-}
-
-type streamEnvelope struct {
-	V any
 }

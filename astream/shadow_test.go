@@ -31,7 +31,10 @@ func soloService(t *testing.T) (*atum.SimCluster, *Service) {
 }
 
 func digestDelivery(seq uint64, data []byte) atum.Delivery {
-	payload := encodeStream(digestMsg{Seq: seq, Digest: crypto.Hash(data)})
+	payload, err := atum.MarshalRawMessage(digestMsg{Seq: seq, Digest: crypto.Hash(data)})
+	if err != nil {
+		panic(err)
+	}
 	return atum.Delivery{Data: payload}
 }
 

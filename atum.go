@@ -61,14 +61,12 @@
 // # Wire codec
 //
 // Payloads and engine messages are framed by a deterministic, tagged,
-// versioned wire codec (docs/WIRE.md) rather than encoding/gob: canonical
-// bytes for signatures and cross-member digest matching, no per-message
-// type dictionary. Applications register their SendRaw message types in
-// the codec's extension-tag range (RegisterRawMessage) to make them
-// wire-codable — and thereby batchable — too; unregistered types ride the
-// TCP transport's gob fallback as before. The legacy gob payload envelope
-// was removed one release after the codec shipped (docs/WIRE.md migration
-// notes).
+// versioned wire codec (docs/WIRE.md): canonical bytes for signatures and
+// cross-member digest matching, no per-message type dictionary. It is the
+// only codec. Applications register their SendRaw message types in its
+// extension-tag range (RegisterRawMessage), which makes them sendable and
+// batchable, and MarshalRawMessage/UnmarshalRawMessage frame
+// application-owned bytes such as broadcast payloads the same way.
 //
 // Nodes are actors: they run on a runtime that delivers messages and timers.
 // Two runtimes are provided — the deterministic discrete-event simulator
@@ -142,8 +140,8 @@ var (
 	// ErrEgressOverflow: the destination's bounded egress queue dropped the
 	// message at the sender (flow control).
 	ErrEgressOverflow = core.ErrEgressOverflow
-	// ErrUnregisteredType: Config.RequireRawCodec is set and the raw message
-	// type has no wire codec (RegisterRawMessage).
+	// ErrUnregisteredType: the raw message type has no wire codec
+	// (RegisterRawMessage), so it cannot be sent or marshalled.
 	ErrUnregisteredType = core.ErrUnregisteredType
 )
 
@@ -219,16 +217,27 @@ type (
 const RawMessageTagMin = core.RawTagMin
 
 // RegisterRawMessage registers an application raw-message type under a wire
-// extension tag. Registered types become wire-codable: SendRaw coalesces
-// them per destination on the egress scheduler (batch carriers instead of
-// one message per send), and byte-level transports frame them through the
-// deterministic wire codec instead of the gob fallback. Tags are process-
-// wide, append-only wire contracts — see docs/WIRE.md for the assignments
-// in use. Registration panics on tag or type conflicts; re-registering the
-// same pair is a no-op.
+// extension tag. Only registered types can be sent: SendRaw coalesces them
+// per destination on the egress scheduler (batch carriers instead of one
+// message per send), and byte-level transports frame them through the
+// deterministic wire codec. Tags are process-wide, append-only wire
+// contracts — see docs/WIRE.md for the assignments in use. Registration
+// panics on tag or type conflicts; re-registering the same pair is a no-op.
 func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *WireEncoder), unmarshal func(d *WireDecoder) any) {
 	core.RegisterRawMessage(tag, prototype, marshal, unmarshal)
 }
+
+// MarshalRawMessage encodes a value of a registered raw-message type as one
+// wire-envelope frame — the same bytes SendRaw would carry. Applications
+// use it for their broadcast payloads, so every vgroup member produces
+// identical bytes for the same value. Unregistered types return
+// ErrUnregisteredType.
+func MarshalRawMessage(v any) ([]byte, error) { return core.MarshalRaw(v) }
+
+// UnmarshalRawMessage reverses MarshalRawMessage. It accepts only
+// extension-tag frames: bytes carrying an engine kind tag, an unknown tag,
+// a truncated body or trailing bytes return an error.
+func UnmarshalRawMessage(b []byte) (any, error) { return core.UnmarshalRaw(b) }
 
 // Node is one Atum participant.
 type Node struct {

@@ -281,12 +281,6 @@ type Config struct {
 	// batched payload every TreeIHaveEvery rounds. 0 selects the default
 	// (2).
 	TreeIHaveEvery int
-	// RequireRawCodec makes SendRaw reject messages whose type is not
-	// registered in the wire extension range (RegisterRawMessage) with
-	// ErrUnregisteredType, instead of silently falling back to the direct /
-	// gob paths. Set it where every raw type is expected to be wire-codable
-	// (byte-level transports, flow-controlled deployments).
-	RequireRawCodec bool
 	// EgressGossipOnly restricts the egress scheduler to the gossip kind,
 	// sending walk, churn and raw traffic directly — the pre-egress
 	// behaviour, kept as the baseline for the `atum-bench -exp egress`

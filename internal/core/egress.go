@@ -112,6 +112,41 @@ func (n *Node) sendViaEgressWith(src, dst group.Composition, it group.BatchItem,
 	n.egress.EnqueueGroupWith(src, dst, it, n.cfg.Mode == smr.ModeSync, class, expires)
 }
 
+// sendRawViaEgress queues one application raw message for a node. Only
+// wire-registered types are sendable. With batching off (GossipMaxBatch 1)
+// or under the gossip-only ablation, the message leaves at once as the raw
+// value, and the transport's codec frames it.
+func (n *Node) sendRawViaEgress(to ids.NodeID, msg any, opts SendOpts) error {
+	if n.cfg.GossipMaxBatch <= 1 || n.cfg.EgressGossipOnly {
+		if !rawRegistered(msg) {
+			return ErrUnregisteredType
+		}
+		n.sendNow(to, msg)
+		return nil
+	}
+	payload, ok := encodeRawWire(msg)
+	if !ok {
+		return ErrUnregisteredType
+	}
+	src := group.Composition{}
+	if n.st != nil {
+		src = n.st.comp
+	}
+	var expires time.Duration
+	if opts.TTL > 0 {
+		expires = n.env.Now() + opts.TTL
+	}
+	// MsgID is the payload digest by construction, so the v2 batch frame
+	// omits it (DerivedID) and the receiver re-derives it.
+	err := n.egress.EnqueueNodeWith(src, to,
+		group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true},
+		egress.Class(opts.Priority), expires)
+	if err != nil {
+		return ErrEgressOverflow
+	}
+	return nil
+}
+
 // egressFlush is the scheduler's transmit callback: it frames one
 // destination's batch onto the wire. It deliberately reads no node state
 // beyond identity and randomness — the captured src/dst keep a flush correct
@@ -211,11 +246,7 @@ func (n *Node) handleRawItem(from ids.NodeID, payload []byte) {
 	if n.cfg.OnRawMessage == nil {
 		return
 	}
-	if len(payload) < 3 || payload[0] != wireEnvMagic || payload[1] < RawTagMin {
-		n.logf("raw item from %v: not an extension-tag frame", from)
-		return
-	}
-	v, err := decodePayload(payload)
+	v, err := UnmarshalRaw(payload)
 	if err != nil {
 		n.logf("raw item from %v: %v", from, err)
 		return

@@ -7,6 +7,7 @@ package core
 // adaptive window's zero-latency idle path in the asynchronous engine.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -60,7 +61,7 @@ func TestRawExtensionRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v != %+v", v, msg)
 	}
 	// MessageCodec (the TCP transport codec) must cover it too, so this
-	// traffic leaves the gob fallback.
+	// traffic can be framed on TCP.
 	if _, ok := (MessageCodec{}).EncodeMessage(msg); !ok {
 		t.Fatal("registered raw type not covered by MessageCodec")
 	}
@@ -70,7 +71,7 @@ func TestRawExtensionRoundTrip(t *testing.T) {
 	if _, err := decodePayload(bad); err == nil {
 		t.Fatal("unregistered extension tag accepted")
 	}
-	// Unregistered types still fall through to the transport gob fallback.
+	// Unregistered types are not wire-codable (SendRaw rejects them).
 	type unregistered struct{ X int }
 	if _, ok := encodeRawWire(unregistered{}); ok {
 		t.Fatal("unregistered type claimed wire-codable")
@@ -301,7 +302,7 @@ func TestAsyncIdleBroadcastBypassesWindow(t *testing.T) {
 }
 
 // TestSendRawRegisteredTypeBatches: registered raw types ride the scheduler
-// (bursts coalesce), unregistered types keep the direct path.
+// (bursts coalesce); unregistered types are rejected and nothing is sent.
 func TestSendRawRegisteredTypeBatches(t *testing.T) {
 	registerEgressTestMsg()
 	self := ids.NodeID(1)
@@ -327,15 +328,18 @@ func TestSendRawRegisteredTypeBatches(t *testing.T) {
 	if _, items := n.egress.Pending(); items < 4 {
 		t.Fatalf("burst pending %d items, want >= 4", items)
 	}
-	// Unregistered types bypass the scheduler entirely.
+	// Unregistered types neither reach the scheduler nor the wire.
 	type plainMsg struct{ X int }
 	before := len(env.sent)
-	n.SendRawWith(5, plainMsg{X: 1}, SendOpts{})
-	if len(env.sent) != before+1 {
-		t.Fatal("unregistered raw type did not go direct")
+	_, pendingBefore := n.egress.Pending()
+	if err := n.SendRawWith(5, plainMsg{X: 1}, SendOpts{}); !errors.Is(err, ErrUnregisteredType) {
+		t.Fatalf("unregistered raw type returned %v, want ErrUnregisteredType", err)
 	}
-	if _, ok := env.sent[len(env.sent)-1].msg.(plainMsg); !ok {
-		t.Fatal("unregistered raw type was re-framed")
+	if len(env.sent) != before {
+		t.Fatal("unregistered raw type was sent")
+	}
+	if _, items := n.egress.Pending(); items != pendingBefore {
+		t.Fatal("unregistered raw type was queued")
 	}
 }
 

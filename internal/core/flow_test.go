@@ -40,39 +40,32 @@ func TestSendRawNotRunningTyped(t *testing.T) {
 // unregisteredRawMsg deliberately has no wire extension codec.
 type unregisteredRawMsg struct{ X int }
 
-// TestSendRawUnregisteredType: with Config.RequireRawCodec, sending a type
-// that has no wire codec fails with ErrUnregisteredType on both the batched
-// and the unbatched (GossipMaxBatch=1) paths; without the knob the old
-// direct-send fallback still works.
+// TestSendRawUnregisteredType: sending a type that has no wire codec fails
+// with ErrUnregisteredType on both the batched and the unbatched
+// (GossipMaxBatch=1) paths, and nothing reaches the receiver; registered
+// types still send.
 func TestSendRawUnregisteredType(t *testing.T) {
 	registerEgressTestMsg()
 	for _, maxBatch := range []int{0, 1} {
 		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
 			h := newHarness(t, smr.ModeSync, 1, func(cfg *Config) {
-				cfg.RequireRawCodec = true
 				cfg.GossipMaxBatch = maxBatch
 			})
 			nodes := h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
+			var got []any
+			nodes[1].cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
 			to := nodes[1].cfg.Identity.ID
 			if err := nodes[0].SendRawWith(to, unregisteredRawMsg{X: 1}, SendOpts{}); !errors.Is(err, ErrUnregisteredType) {
 				t.Fatalf("unregistered type returned %v, want ErrUnregisteredType", err)
+			}
+			h.net.Run(h.net.Now() + time.Second)
+			if len(got) != 0 {
+				t.Fatalf("rejected unregistered type still reached the receiver: %v", got)
 			}
 			if err := nodes[0].SendRawWith(to, egressTestMsg{Seq: 1}, SendOpts{}); err != nil {
 				t.Fatalf("registered type returned %v", err)
 			}
 		})
-	}
-	// Without RequireRawCodec the unregistered type rides the direct path.
-	h := newHarness(t, smr.ModeSync, 2, nil)
-	nodes := h.bootstrapSystem(smr.ModeSync, 2, 20*time.Second)
-	var got []any
-	nodes[1].cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
-	if err := nodes[0].SendRawWith(nodes[1].cfg.Identity.ID, unregisteredRawMsg{X: 7}, SendOpts{}); err != nil {
-		t.Fatalf("default config rejected an unregistered type: %v", err)
-	}
-	h.net.Run(h.net.Now() + time.Second)
-	if len(got) != 1 || got[0].(unregisteredRawMsg).X != 7 {
-		t.Fatalf("unregistered raw message not delivered: %v", got)
 	}
 }
 

@@ -498,11 +498,3 @@ func decodePayload(b []byte) (any, error) {
 // opDigest content-addresses an operation payload: vote tallies and the
 // applied-set dedup key on it.
 func opDigest(b []byte) crypto.Digest { return crypto.Hash(b) }
-
-// RegisterMessages is a no-op kept for API compatibility: engine messages
-// ride the deterministic wire codec on every transport, so there is nothing
-// left to register with encoding/gob. Applications whose raw-message types
-// are NOT registered in the wire extension range (RegisterRawMessage) still
-// register those types with gob themselves for the TCP transport's fallback
-// frames.
-func RegisterMessages() {}

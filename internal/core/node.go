@@ -350,17 +350,17 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 
 // SendRawWith sends an application-level message to another node; the
 // receiver's OnRawMessage hook gets it. Applications layer their own
-// protocols (file chunks, stream data) on this. Types registered in the
-// wire extension-tag range (RegisterRawMessage) ride the egress scheduler:
-// concurrent sends to the same node coalesce into batch carriers, and
-// byte-level transports frame them through the wire codec instead of the
-// gob fallback. Unregistered types are sent directly, as before.
+// protocols (file chunks, stream data) on this. The message's type must be
+// registered in the wire extension-tag range (RegisterRawMessage): it rides
+// the egress scheduler, so concurrent sends to the same node coalesce into
+// batch carriers, and byte-level transports frame it through the wire
+// codec.
 //
 // SendRawWith reports failures instead of silently dropping: ErrNotRunning
 // when the node is not attached to a running runtime, ErrEgressOverflow
 // when the destination's bounded egress queue rejected the message (flow
-// control — see Config.EgressQueueLimit), and ErrUnregisteredType when
-// Config.RequireRawCodec is set and the type has no wire codec.
+// control — see Config.EgressQueueLimit), and ErrUnregisteredType when the
+// type has no wire codec.
 //
 // opts carries the flow-control options: a priority class (overflow on the
 // destination's bounded queue sheds lower-priority items first) and an
@@ -370,35 +370,7 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 	if n.env == nil || n.stopped {
 		return ErrNotRunning
 	}
-	if n.cfg.GossipMaxBatch > 1 && !n.cfg.EgressGossipOnly {
-		if payload, ok := encodeRawWire(msg); ok {
-			src := group.Composition{}
-			if n.st != nil {
-				src = n.st.comp
-			}
-			var expires time.Duration
-			if opts.TTL > 0 {
-				expires = n.env.Now() + opts.TTL
-			}
-			// MsgID is the payload digest by construction, so the v2 batch
-			// frame omits it (DerivedID) and the receiver re-derives it.
-			err := n.egress.EnqueueNodeWith(src, to,
-				group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true},
-				egress.Class(opts.Priority), expires)
-			if err != nil {
-				return ErrEgressOverflow
-			}
-			return nil
-		}
-		if n.cfg.RequireRawCodec {
-			return ErrUnregisteredType
-		}
-	} else if n.cfg.RequireRawCodec && !rawRegistered(msg) {
-		return ErrUnregisteredType
-	}
-	//atumvet:allow egressonly unregistered-type raw fallback: gob messages have no wire frame and cannot ride batch carriers
-	n.sendNow(to, msg)
-	return nil
+	return n.sendRawViaEgress(to, msg, opts)
 }
 
 // SetBehavior switches the node's behaviour (experiment fault injection;

@@ -2,14 +2,17 @@ package core
 
 // The wire envelope's application extension-tag range. Kind tags 0x80–0xFF
 // of the payload envelope (docs/WIRE.md) are reserved for application
-// raw-message types: applications register a per-type codec here, and their
-// SendRaw traffic becomes wire-codable — byte-level transports frame it
-// through the deterministic wire envelope instead of the gob fallback, and
-// the egress scheduler can fold it into batch carriers alongside engine
-// kinds. Tags are append-only per application, exactly like the engine's
-// own kind tags; the assignments in use are documented in docs/WIRE.md.
+// raw-message types: applications register a per-type codec here, and only
+// registered types can be sent with SendRaw — byte-level transports frame
+// them through the deterministic wire envelope, and the egress scheduler
+// folds them into batch carriers alongside engine kinds. MarshalRaw and
+// UnmarshalRaw expose the same framing for application-owned bytes such as
+// broadcast payloads. Tags are append-only per application, exactly like
+// the engine's own kind tags; the assignments in use are documented in
+// docs/WIRE.md.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -73,7 +76,7 @@ func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *wire.Enc
 }
 
 // rawRegistered reports whether v's concrete type has a wire extension
-// codec (the RequireRawCodec check on paths that bypass encoding).
+// codec (the ErrUnregisteredType check on paths that bypass encoding).
 func rawRegistered(v any) bool {
 	rawReg.RLock()
 	_, ok := rawReg.byType[reflect.TypeOf(v)]
@@ -83,7 +86,7 @@ func rawRegistered(v any) bool {
 
 // encodeRawWire frames a registered application raw message as a complete
 // wire-envelope frame ([magic][ext tag][version][body]); false when the
-// type is unregistered (callers then fall back to direct/gob paths).
+// type is unregistered.
 func encodeRawWire(v any) ([]byte, bool) {
 	rawReg.RLock()
 	c, ok := rawReg.byType[reflect.TypeOf(v)]
@@ -114,4 +117,33 @@ func decodeRawWire(tag byte, d *wire.Decoder) (any, error) {
 		return nil, fmt.Errorf("core: decode raw message tag %#x: %w", tag, err)
 	}
 	return v, nil
+}
+
+// errNotRawFrame rejects bytes that are not an extension-tag frame.
+var errNotRawFrame = errors.New("core: not an extension-tag wire frame")
+
+// MarshalRaw frames a registered application raw message as a complete
+// wire-envelope frame ([magic][ext tag][version][body]), the bytes SendRaw
+// puts on the wire. Unregistered types return ErrUnregisteredType.
+func MarshalRaw(v any) ([]byte, error) {
+	b, ok := encodeRawWire(v)
+	if !ok {
+		return nil, ErrUnregisteredType
+	}
+	return b, nil
+}
+
+// UnmarshalRaw reverses MarshalRaw. Only extension-tag frames decode: a
+// frame carrying an engine kind tag (below RawTagMin) is rejected before
+// any decode work, so hostile bytes can never materialize an engine
+// message through this path. Unknown tags, unsupported versions,
+// truncation and trailing bytes are errors, never panics.
+func UnmarshalRaw(b []byte) (any, error) {
+	if len(b) < 3 || b[0] != wireEnvMagic || b[1] < RawTagMin {
+		return nil, errNotRawFrame
+	}
+	if b[2] != wireEnvV1 {
+		return nil, fmt.Errorf("core: raw message tag %#x: unsupported version %d", b[1], b[2])
+	}
+	return decodeRawWire(b[1], wire.NewDecoder(b[3:]))
 }

@@ -98,8 +98,7 @@ const (
 )
 
 // encodeWire returns the tagged, versioned wire frame for v, or false when
-// the type is not wire-codable (byte-level transports then fall back to gob:
-// applications may send arbitrary raw-message types). Frames build in pooled
+// the type is not wire-codable (an unregistered application type). Frames build in pooled
 // scratch and detach as one exact-size allocation — envelope encoding is the
 // per-payload hot path, and throwaway encoders paid append-growth garbage
 // on every message.
@@ -460,7 +459,7 @@ func decodeWireDepth(b []byte, depth int) (any, error) {
 // (it implements tcpnet.Options.Codec). EncodeMessage covers the engine's
 // message set plus every application raw-message type registered in the
 // extension-tag range; it reports false only for unregistered types, which
-// the transport then carries through its gob fallback.
+// the transport then drops (tcpnet counts them in Stats.DroppedCodec).
 type MessageCodec struct{}
 
 // EncodeMessage encodes one engine message as a wire-envelope frame.

@@ -18,6 +18,9 @@ func TestBatchingReducesTraffic(t *testing.T) {
 	if unbatched.Broadcasts == 0 || batched.Broadcasts == 0 {
 		t.Fatalf("no broadcasts issued: unbatched=%+v batched=%+v", unbatched, batched)
 	}
+	if batched.MsgsPerBcast <= 0 || batched.BytesPerBcast <= 0 {
+		t.Fatalf("degenerate batched measurement: %+v", batched)
+	}
 	if batched.MsgsPerBcast >= unbatched.MsgsPerBcast {
 		t.Errorf("batching did not reduce messages: %.1f >= %.1f",
 			batched.MsgsPerBcast, unbatched.MsgsPerBcast)

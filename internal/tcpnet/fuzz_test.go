@@ -11,22 +11,25 @@ import (
 )
 
 func FuzzFrameReaderNeverPanics(f *testing.F) {
-	// Seed with a valid frame, a truncated frame, and hostile lengths.
+	// Seed with a valid hello frame, a truncated frame, and hostile lengths.
 	var buf bytes.Buffer
 	w := newFrameWriter(&buf)
-	_ = w.write(hello{From: 1, Addr: "x:1"})
+	_ = w.writeHello(hello{From: 1, Addr: "x:1"})
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 4, 1, 2})                                     // truncated body
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                               // absurd length
 	f.Add([]byte{0, 0, 0, 0})                                           // zero length
-	f.Add(append([]byte{0, 0, 0, 8}, bytes.Repeat([]byte{0xAA}, 8)...)) // garbage gob
+	f.Add(append([]byte{0, 0, 0, 8}, bytes.Repeat([]byte{0xAA}, 8)...)) // garbage body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := newFrameReader(bytes.NewReader(data), 1<<16, nil)
-		for i := 0; i < 4; i++ {
-			var h hello
-			if err := r.next(&h); err != nil {
-				return // rejection is the expected outcome for junk
+		// The connection protocol: one hello, then wire frames.
+		r := newFrameReader(bytes.NewReader(data), 1<<16, stubCodec{})
+		if _, err := r.readHello(); err != nil {
+			return // rejection is the expected outcome for junk
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := r.readEnvelope(); err != nil {
+				return
 			}
 		}
 	})
@@ -41,9 +44,8 @@ func FuzzFrameLengthBound(f *testing.F) {
 		binary.BigEndian.PutUint32(hdr[:], claimed)
 		buf.Write(hdr[:])
 		buf.Write(body)
-		r := newFrameReader(&buf, max, nil)
-		var env Envelope
-		err := r.next(&env)
+		r := newFrameReader(&buf, max, stubCodec{})
+		_, err := r.readEnvelope()
 		if int(claimed) > max && err == nil {
 			t.Fatalf("frame of claimed size %d accepted past bound %d", claimed, max)
 		}

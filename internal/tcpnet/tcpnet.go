@@ -3,17 +3,15 @@
 // message transmission" (paper §3, Figure 1) for deployments that span
 // processes or hosts.
 //
-// Wire format (spec: docs/WIRE.md): each connection starts with a hello
-// frame identifying the dialing node, then carries length-prefixed frames.
-// The first body byte of every frame tags its codec — 'W' for the engine's
-// deterministic wire envelope (Options.Codec, normally core.MessageCodec),
-// 'G' for gob. Engine messages and application raw-message types registered
-// in the wire extension range ride the wire codec; unregistered raw types
-// fall back to gob and must be gob.Register'ed by the application. The
-// Codec is effectively required for Atum deployments — engine types are
-// not gob-registered (see Options.Codec). One outbound connection per
-// destination address is cached and re-dialed on failure; inbound
-// connections are accepted concurrently.
+// Wire format (spec: docs/WIRE.md): each connection carries length-prefixed
+// frames whose first body byte tags the frame — one 'H' hello identifying
+// the dialing node, then only 'W' frames holding messages in the engine's
+// deterministic wire envelope (Options.Codec, normally core.MessageCodec).
+// Engine messages and application raw-message types registered in the wire
+// extension range are the whole message set; a message the codec cannot
+// encode is dropped and counted (Stats.DroppedCodec). One outbound
+// connection per destination address is cached and re-dialed on failure;
+// inbound connections are accepted concurrently.
 //
 // Addresses come from the actor.AddrBook flow: the engine reports every
 // (node ID, address) pair it learns from compositions and join handshakes,
@@ -21,9 +19,7 @@
 package tcpnet
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -41,8 +37,8 @@ import (
 // stays independent of the engine.
 type Codec interface {
 	// EncodeMessage returns the message's wire-envelope bytes, or false when
-	// the type is outside the codec's message set (the transport then falls
-	// back to gob for that frame).
+	// the type is outside the codec's message set (the transport then drops
+	// the message and counts it in Stats.DroppedCodec).
 	EncodeMessage(msg actor.Message) ([]byte, bool)
 	// DecodeMessage reverses EncodeMessage.
 	DecodeMessage(b []byte) (actor.Message, error)
@@ -55,7 +51,7 @@ type Envelope struct {
 	Msg  actor.Message
 }
 
-// hello is the first frame on every outbound connection.
+// hello is the first frame on every outbound connection ('H' frame).
 type hello struct {
 	From ids.NodeID
 	Addr string // the dialer's own listen address, so the peer can dial back
@@ -81,13 +77,7 @@ type Options struct {
 	QueueLen int
 	// Codec frames engine messages (and registered application raw types)
 	// through the deterministic wire envelope — pass atum.WireMessageCodec(),
-	// i.e. core.MessageCodec. It is effectively REQUIRED for Atum traffic:
-	// engine message types are no longer gob-registered (the legacy envelope
-	// was removed, docs/WIRE.md), so with a nil Codec only types the caller
-	// gob.Register'ed itself can flow, inbound wire frames are rejected, and
-	// engine messages fail frame encoding (logged per connection). Nil is
-	// only sensible for transports carrying purely application-defined,
-	// gob-registered message sets.
+	// i.e. core.MessageCodec. Required: New rejects a nil Codec.
 	Codec Codec
 	// Logf, when set, receives transport debug logs.
 	Logf func(format string, args ...any)
@@ -114,7 +104,7 @@ type Deliverer interface {
 	Deliver(from, to ids.NodeID, msg actor.Message)
 }
 
-// Transport is a gob-over-TCP message carrier. It implements
+// Transport is a wire-framed TCP message carrier. It implements
 // rtnet.Transport.
 type Transport struct {
 	opts      Options
@@ -144,6 +134,9 @@ type Stats struct {
 	Dials       int64 // outbound connection attempts
 	DialErrs    int64 // failed dials
 	Accepts     int64 // accepted inbound connections
+	// DroppedCodec counts messages dropped because the Codec could not
+	// encode them (an unregistered type); the connection stays up.
+	DroppedCodec int64
 }
 
 // New creates a transport listening on opts.ListenAddr, delivering inbound
@@ -151,6 +144,9 @@ type Stats struct {
 // hello frames (use the node's ID; with several nodes behind one transport,
 // any hosted ID works — hellos only seed the peer address book).
 func New(self ids.NodeID, d Deliverer, opts Options) (*Transport, error) {
+	if opts.Codec == nil {
+		return nil, errors.New("tcpnet: Options.Codec is required (pass atum.WireMessageCodec())")
+	}
 	opts = opts.withDefaults()
 	ln, err := net.Listen("tcp", opts.ListenAddr)
 	if err != nil {
@@ -169,11 +165,6 @@ func New(self ids.NodeID, d Deliverer, opts Options) (*Transport, error) {
 		addrs:     make(map[ids.NodeID]string),
 		peers:     make(map[string]*peer),
 		inbound:   make(map[net.Conn]bool),
-	}
-	if opts.Codec == nil {
-		// Engine message types are not gob-registered (docs/WIRE.md): a
-		// codec-less transport can only carry caller-registered gob types.
-		t.logf("tcpnet: no Codec configured — engine messages cannot be framed (pass atum.WireMessageCodec())")
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -309,8 +300,8 @@ func (t *Transport) readLoop(conn net.Conn) {
 	r := newFrameReader(conn, t.opts.MaxFrame, t.opts.Codec)
 
 	// Hello first: learn how to dial this peer back.
-	var h hello
-	if err := r.next(&h); err != nil {
+	h, err := r.readHello()
+	if err != nil {
 		t.logf("tcpnet: bad hello from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
@@ -319,8 +310,8 @@ func (t *Transport) readLoop(conn net.Conn) {
 	}
 
 	for {
-		var env Envelope
-		if err := r.next(&env); err != nil {
+		env, err := r.readEnvelope()
+		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.logf("tcpnet: read from %v: %v", conn.RemoteAddr(), err)
 			}
@@ -417,13 +408,25 @@ func (p *peer) writeLoop() {
 				backoff = 50 * time.Millisecond
 				conn = c
 				w = newFrameWriter(conn)
-				if err := p.write(w, conn, hello{From: p.t.self, Addr: p.t.advertise}); err != nil {
+				if err = p.deadline(conn); err == nil {
+					err = w.writeHello(hello{From: p.t.self, Addr: p.t.advertise})
+				}
+				if err != nil {
 					p.t.logf("tcpnet: hello to %s: %v", p.addr, err)
 					conn.Close()
 					conn, w = nil, nil
 				}
 			}
-			if err := p.write(w, conn, env); err != nil {
+			err := p.deadline(conn)
+			if err == nil {
+				err = w.writeEnvelope(env, p.t.opts.Codec)
+			}
+			switch {
+			case errors.Is(err, errUnencodable):
+				// Nothing was written: drop the message, keep the connection.
+				p.t.bump(func(s *Stats) { s.DroppedCodec++ })
+				p.t.logf("tcpnet: drop %T to %s: %v", env.Msg, p.addr, err)
+			case err != nil:
 				p.t.logf("tcpnet: write to %s: %v", p.addr, err)
 				conn.Close()
 				conn, w = nil, nil
@@ -433,65 +436,56 @@ func (p *peer) writeLoop() {
 	}
 }
 
-func (p *peer) write(w *frameWriter, conn net.Conn, v any) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(p.t.opts.WriteTimeout)); err != nil {
-		return err
-	}
-	if env, ok := v.(Envelope); ok {
-		return w.writeEnvelope(env, p.t.opts.Codec)
-	}
-	return w.write(v)
+// deadline bounds the next frame write.
+func (p *peer) deadline(conn net.Conn) error {
+	return conn.SetWriteDeadline(time.Now().Add(p.t.opts.WriteTimeout))
 }
 
 // --- framing ---
 //
 // Each frame is a 4-byte big-endian length followed by that many body bytes.
-// The first body byte tags the frame's codec:
+// The first body byte tags the frame:
 //
-//	'W': [from uint64][to uint64][len-prefixed wire-envelope message] — the
-//	     engine message set, encoded by Options.Codec (core.MessageCodec);
-//	'G': a standalone gob stream of wireBox{V} — hello frames, application
-//	     raw messages, and (with Codec nil) everything.
+//	'H': [from uint64][addr string] — the hello, once per connection, first;
+//	'W': [from uint64][to uint64][len-prefixed wire-envelope message] — every
+//	     later frame, the message encoded by Options.Codec
+//	     (core.MessageCodec).
 //
-// Standalone gob streams (a fresh encoder per frame) cost a few bytes of
-// re-sent type definitions but make frames self-contained: a corrupted or
-// oversized frame can be rejected without desynchronizing the connection's
-// type dictionary. The wire codec does away with the dictionary entirely,
-// which is most of its byte savings on small messages.
+// Frames carry no type dictionary: each is self-contained, so a corrupted
+// or oversized frame is rejected without desynchronizing the connection.
 
-// Frame codec tags.
+// Frame tags.
 const (
-	frameGob  = 'G'
-	frameWire = 'W'
+	frameHello = 'H'
+	frameWire  = 'W'
 )
+
+// errUnencodable reports a message the codec cannot encode; the writer
+// wrote nothing, so the connection is still in sync.
+var errUnencodable = errors.New("message type not encodable by the codec")
 
 type frameWriter struct {
 	w   io.Writer
-	buf bytes.Buffer
-	enc wire.Encoder // reused across wire frames, like buf for gob frames
+	enc wire.Encoder // reused across frames
 }
 
 func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
 
-// write emits v as a gob frame.
-func (fw *frameWriter) write(v any) error {
-	fw.buf.Reset()
-	fw.buf.WriteByte(frameGob)
-	if err := gob.NewEncoder(&fw.buf).Encode(wireBox{V: v}); err != nil {
-		return fmt.Errorf("encode: %w", err)
-	}
-	return fw.flush(fw.buf.Bytes())
+// writeHello emits the connection's hello frame.
+func (fw *frameWriter) writeHello(h hello) error {
+	fw.enc.Reset()
+	fw.enc.Byte(frameHello)
+	fw.enc.Uint64(uint64(h.From))
+	fw.enc.String(h.Addr)
+	return fw.flush(fw.enc.Bytes())
 }
 
-// writeEnvelope emits env as a wire frame when the codec covers its message,
-// falling back to a gob frame otherwise.
+// writeEnvelope emits env as a wire frame, or returns errUnencodable
+// without writing when the codec does not cover its message.
 func (fw *frameWriter) writeEnvelope(env Envelope, codec Codec) error {
-	if codec == nil {
-		return fw.write(env)
-	}
 	mb, ok := codec.EncodeMessage(env.Msg)
 	if !ok {
-		return fw.write(env)
+		return errUnencodable
 	}
 	fw.enc.Reset()
 	fw.enc.Byte(frameWire)
@@ -515,11 +509,11 @@ type frameReader struct {
 	r     io.Reader
 	max   int
 	codec Codec
-	// body is the reusable frame buffer: both decode paths copy everything
-	// they keep (gob materializes fresh values; the wire codec's field
-	// decoders copy VarBytes), so one grow-only buffer per connection
-	// replaces an allocation per frame. maxPooledBody bounds what one large
-	// frame can pin for the connection's lifetime.
+	// body is the reusable frame buffer: every decoder copies what it keeps
+	// (the wire codec's field decoders copy VarBytes and strings), so one
+	// grow-only buffer per connection replaces an allocation per frame.
+	// maxPooledBody bounds what one large frame can pin for the
+	// connection's lifetime.
 	body []byte
 }
 
@@ -544,81 +538,55 @@ func (fr *frameReader) buffer(n int) []byte {
 	return b
 }
 
-func (fr *frameReader) next(out any) error {
+// frame reads one frame and returns a decoder over its body after the tag,
+// which must be want.
+func (fr *frameReader) frame(want byte) (*wire.Decoder, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		return err
+		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n <= 0 || n > fr.max {
-		return fmt.Errorf("frame size %d out of range", n)
+		return nil, fmt.Errorf("frame size %d out of range", n)
 	}
 	body := fr.buffer(n)
 	if _, err := io.ReadFull(fr.r, body); err != nil {
-		return err
+		return nil, err
 	}
-	switch body[0] {
-	case frameGob:
-		var box wireBox
-		if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&box); err != nil {
-			return fmt.Errorf("decode: %w", err)
-		}
-		return assign(out, box.V)
-	case frameWire:
-		env, ok := out.(*Envelope)
-		if !ok {
-			return fmt.Errorf("wire frame where %T expected", out)
-		}
-		if fr.codec == nil {
-			return errors.New("wire frame but no codec configured")
-		}
-		d := wire.NewDecoder(body[1:])
-		env.From = ids.NodeID(d.Uint64())
-		env.To = ids.NodeID(d.Uint64())
-		// A view, not a copy: DecodeMessage's field decoders copy what they
-		// keep, so nothing aliases the reusable body buffer afterwards.
-		mb := d.VarBytesView()
-		if err := d.Finish(); err != nil {
-			return fmt.Errorf("decode wire frame: %w", err)
-		}
-		msg, err := fr.codec.DecodeMessage(mb)
-		if err != nil {
-			return fmt.Errorf("decode wire frame: %w", err)
-		}
-		env.Msg = msg
-		return nil
-	default:
-		return fmt.Errorf("unknown frame codec tag %#x", body[0])
+	if body[0] != want {
+		return nil, fmt.Errorf("frame tag %#x where %q expected", body[0], want)
 	}
+	return wire.NewDecoder(body[1:]), nil
 }
 
-// wireBox lets a frame carry any registered concrete type.
-type wireBox struct {
-	V any
-}
-
-func assign(out any, v any) error {
-	switch o := out.(type) {
-	case *hello:
-		h, ok := v.(hello)
-		if !ok {
-			return fmt.Errorf("expected hello, got %T", v)
-		}
-		*o = h
-		return nil
-	case *Envelope:
-		e, ok := v.(Envelope)
-		if !ok {
-			return fmt.Errorf("expected envelope, got %T", v)
-		}
-		*o = e
-		return nil
-	default:
-		return fmt.Errorf("unsupported frame target %T", out)
+// readHello reads the connection's leading hello frame.
+func (fr *frameReader) readHello() (hello, error) {
+	d, err := fr.frame(frameHello)
+	if err != nil {
+		return hello{}, err
 	}
+	h := hello{From: ids.NodeID(d.Uint64()), Addr: d.String()}
+	if err := d.Finish(); err != nil {
+		return hello{}, fmt.Errorf("decode hello: %w", err)
+	}
+	return h, nil
 }
 
-func init() {
-	gob.Register(hello{})
-	gob.Register(Envelope{})
+// readEnvelope reads one wire frame.
+func (fr *frameReader) readEnvelope() (Envelope, error) {
+	d, err := fr.frame(frameWire)
+	if err != nil {
+		return Envelope{}, err
+	}
+	env := Envelope{From: ids.NodeID(d.Uint64()), To: ids.NodeID(d.Uint64())}
+	// A view, not a copy: DecodeMessage's field decoders copy what they
+	// keep, so nothing aliases the reusable body buffer afterwards.
+	mb := d.VarBytesView()
+	if err := d.Finish(); err != nil {
+		return Envelope{}, fmt.Errorf("decode wire frame: %w", err)
+	}
+	if env.Msg, err = fr.codec.DecodeMessage(mb); err != nil {
+		return Envelope{}, fmt.Errorf("decode wire frame: %w", err)
+	}
+	return env, nil
 }

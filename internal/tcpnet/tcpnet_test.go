@@ -2,7 +2,7 @@ package tcpnet
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -13,10 +13,8 @@ import (
 	"atum/internal/wire"
 )
 
-func init() {
-	gob.Register(testMsg{})
-}
-
+// testMsg has no wire codec: stubCodec cannot encode it, like an
+// unregistered application type under core.MessageCodec.
 type testMsg struct {
 	Seq  int
 	Body string
@@ -63,7 +61,7 @@ func (s *sink) wait(t *testing.T, n int, timeout time.Duration) []Envelope {
 
 func newTestTransport(t *testing.T, self ids.NodeID, d Deliverer) *Transport {
 	t.Helper()
-	tr, err := New(self, d, Options{ListenAddr: "127.0.0.1:0"})
+	tr, err := New(self, d, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,40 +72,42 @@ func newTestTransport(t *testing.T, self ids.NodeID, d Deliverer) *Transport {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := newFrameWriter(&buf)
-	want := Envelope{From: 1, To: 2, Msg: testMsg{Seq: 7, Body: "hi"}}
-	if err := w.write(want); err != nil {
+	if err := w.writeHello(hello{From: 9, Addr: "a:1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.write(hello{From: 9, Addr: "a:1"}); err != nil {
+	if buf.Bytes()[4] != frameHello {
+		t.Fatalf("hello not 'H'-framed (tag %#x)", buf.Bytes()[4])
+	}
+	want := Envelope{From: 1, To: 2, Msg: wireMsg{Seq: 7, Body: "hi"}}
+	if err := w.writeEnvelope(want, stubCodec{}); err != nil {
 		t.Fatal(err)
 	}
 
-	r := newFrameReader(&buf, 1<<20, nil)
-	var env Envelope
-	if err := r.next(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.From != 1 || env.To != 2 || env.Msg != (testMsg{Seq: 7, Body: "hi"}) {
-		t.Fatalf("got %+v", env)
-	}
-	var h hello
-	if err := r.next(&h); err != nil {
+	r := newFrameReader(&buf, 1<<20, stubCodec{})
+	h, err := r.readHello()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if h.From != 9 || h.Addr != "a:1" {
 		t.Fatalf("got %+v", h)
+	}
+	env, err := r.readEnvelope()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env != want {
+		t.Fatalf("got %+v", env)
 	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	w := newFrameWriter(&buf)
-	if err := w.write(Envelope{Msg: testMsg{Body: string(make([]byte, 4096))}}); err != nil {
+	if err := w.writeEnvelope(Envelope{Msg: wireMsg{Body: string(make([]byte, 4096))}}, stubCodec{}); err != nil {
 		t.Fatal(err)
 	}
-	r := newFrameReader(&buf, 16, nil)
-	var env Envelope
-	if err := r.next(&env); err == nil {
+	r := newFrameReader(&buf, 16, stubCodec{})
+	if _, err := r.readEnvelope(); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -115,13 +115,18 @@ func TestFrameRejectsOversize(t *testing.T) {
 func TestFrameTypeMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	w := newFrameWriter(&buf)
-	if err := w.write(hello{From: 1}); err != nil {
+	if err := w.writeHello(hello{From: 1}); err != nil {
 		t.Fatal(err)
 	}
-	r := newFrameReader(&buf, 1<<20, nil)
-	var env Envelope
-	if err := r.next(&env); err == nil {
+	if err := w.writeEnvelope(Envelope{Msg: wireMsg{Seq: 1}}, stubCodec{}); err != nil {
+		t.Fatal(err)
+	}
+	r := newFrameReader(&buf, 1<<20, stubCodec{})
+	if _, err := r.readEnvelope(); err == nil {
 		t.Fatal("hello decoded as envelope")
+	}
+	if _, err := r.readHello(); err == nil {
+		t.Fatal("wire frame decoded as hello")
 	}
 }
 
@@ -131,9 +136,9 @@ func TestSendBetweenTransports(t *testing.T) {
 	tb := newTestTransport(t, 2, sb)
 
 	ta.LearnAddr(2, tb.Addr())
-	ta.Send(1, 2, testMsg{Seq: 1, Body: "over tcp"})
+	ta.Send(1, 2, wireMsg{Seq: 1, Body: "over tcp"})
 	got := sb.wait(t, 1, 10*time.Second)
-	if got[0].From != 1 || got[0].To != 2 || got[0].Msg != (testMsg{Seq: 1, Body: "over tcp"}) {
+	if got[0].From != 1 || got[0].To != 2 || got[0].Msg != (wireMsg{Seq: 1, Body: "over tcp"}) {
 		t.Fatalf("got %+v", got[0])
 	}
 }
@@ -146,15 +151,15 @@ func TestDialBackViaHello(t *testing.T) {
 	// Only A knows B. After A's first message, B learns A's address from the
 	// hello frame and can reply without any manual LearnAddr.
 	ta.LearnAddr(2, tb.Addr())
-	ta.Send(1, 2, testMsg{Seq: 1})
+	ta.Send(1, 2, wireMsg{Seq: 1})
 	sb.wait(t, 1, 10*time.Second)
 
 	if _, ok := tb.LookupAddr(1); !ok {
 		t.Fatal("B did not learn A's address from hello")
 	}
-	tb.Send(2, 1, testMsg{Seq: 2})
+	tb.Send(2, 1, wireMsg{Seq: 2})
 	got := sa.wait(t, 1, 10*time.Second)
-	if got[0].Msg != (testMsg{Seq: 2}) {
+	if got[0].Msg != (wireMsg{Seq: 2}) {
 		t.Fatalf("got %+v", got[0])
 	}
 }
@@ -162,7 +167,7 @@ func TestDialBackViaHello(t *testing.T) {
 func TestUnknownDestinationDropped(t *testing.T) {
 	sa := newSink()
 	ta := newTestTransport(t, 1, sa)
-	ta.Send(1, 42, testMsg{})
+	ta.Send(1, 42, wireMsg{})
 	waitStat(t, func() bool { return ta.Stats().DroppedAddr == 1 })
 }
 
@@ -174,11 +179,11 @@ func TestManyMessagesInOrder(t *testing.T) {
 
 	const total = 500
 	for i := 0; i < total; i++ {
-		ta.Send(1, 2, testMsg{Seq: i})
+		ta.Send(1, 2, wireMsg{Seq: i})
 	}
 	got := sb.wait(t, total, 30*time.Second)
 	for i, env := range got {
-		if env.Msg.(testMsg).Seq != i {
+		if env.Msg.(wireMsg).Seq != i {
 			t.Fatalf("message %d out of order: %+v", i, env)
 		}
 	}
@@ -188,13 +193,13 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	sa, sb := newSink(), newSink()
 	ta := newTestTransport(t, 1, sa)
 
-	tb, err := New(2, sb, Options{ListenAddr: "127.0.0.1:0"})
+	tb, err := New(2, sb, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrB := tb.Addr()
 	ta.LearnAddr(2, addrB)
-	ta.Send(1, 2, testMsg{Seq: 1})
+	ta.Send(1, 2, wireMsg{Seq: 1})
 	sb.wait(t, 1, 10*time.Second)
 
 	// Restart B on the same address.
@@ -202,7 +207,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb2 := newSink()
-	tb2, err := New(2, sb2, Options{ListenAddr: addrB})
+	tb2, err := New(2, sb2, Options{ListenAddr: addrB, Codec: stubCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +217,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	// messages may be lost in between — that is the transport contract.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		ta.Send(1, 2, testMsg{Seq: 2})
+		ta.Send(1, 2, wireMsg{Seq: 2})
 		select {
 		case <-sb2.ch:
 			return
@@ -226,7 +231,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 
 func TestCloseIdempotent(t *testing.T) {
 	sa := newSink()
-	tr, err := New(1, sa, Options{ListenAddr: "127.0.0.1:0"})
+	tr, err := New(1, sa, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +242,11 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sends after close are silently dropped.
-	tr.Send(1, 2, testMsg{})
+	tr.Send(1, 2, wireMsg{})
 }
 
 // stubCodec wire-frames wireMsg values only; everything else reports false
-// and rides the gob fallback, like application raw messages do under
+// and is dropped, like unregistered application types under
 // core.MessageCodec.
 type stubCodec struct{}
 
@@ -281,8 +286,8 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		t.Fatalf("codec-covered message not wire-framed (tag %#x)", buf.Bytes()[4])
 	}
 	r := newFrameReader(&buf, 1<<20, stubCodec{})
-	var env Envelope
-	if err := r.next(&env); err != nil {
+	env, err := r.readEnvelope()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if env.From != 3 || env.To != 4 || env.Msg != (wireMsg{Seq: 11, Body: "wire"}) {
@@ -290,61 +295,53 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireFrameGobFallbackForUnknownTypes(t *testing.T) {
+// TestWireFrameUnencodableMessageRejected: a message outside the codec's
+// set is refused before anything is written, so the stream stays in sync.
+func TestWireFrameUnencodableMessageRejected(t *testing.T) {
 	var buf bytes.Buffer
 	w := newFrameWriter(&buf)
-	want := Envelope{From: 3, To: 4, Msg: testMsg{Seq: 1, Body: "raw"}}
-	if err := w.writeEnvelope(want, stubCodec{}); err != nil {
-		t.Fatal(err)
+	err := w.writeEnvelope(Envelope{From: 3, To: 4, Msg: testMsg{Seq: 1, Body: "raw"}}, stubCodec{})
+	if !errors.Is(err, errUnencodable) {
+		t.Fatalf("unencodable message returned %v, want errUnencodable", err)
 	}
-	if buf.Bytes()[4] != frameGob {
-		t.Fatalf("codec-unknown message not gob-framed (tag %#x)", buf.Bytes()[4])
-	}
-	r := newFrameReader(&buf, 1<<20, stubCodec{})
-	var env Envelope
-	if err := r.next(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Msg != (testMsg{Seq: 1, Body: "raw"}) {
-		t.Fatalf("got %+v", env)
+	if buf.Len() != 0 {
+		t.Fatalf("unencodable message wrote %d bytes", buf.Len())
 	}
 }
 
-func TestWireFrameWithoutCodecRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w := newFrameWriter(&buf)
-	if err := w.writeEnvelope(Envelope{Msg: wireMsg{Seq: 1}}, stubCodec{}); err != nil {
-		t.Fatal(err)
-	}
-	r := newFrameReader(&buf, 1<<20, nil)
-	var env Envelope
-	if err := r.next(&env); err == nil {
-		t.Fatal("wire frame accepted without a codec")
+// TestNewRequiresCodec: there is no codec-less transport mode.
+func TestNewRequiresCodec(t *testing.T) {
+	tr, err := New(1, newSink(), Options{ListenAddr: "127.0.0.1:0"})
+	if err == nil {
+		tr.Close()
+		t.Fatal("New accepted a nil Codec")
 	}
 }
 
+// TestSendBetweenTransportsWithCodec: an unencodable message is dropped and
+// counted, and the connection survives it — the next wire message on the
+// same connection is still delivered.
 func TestSendBetweenTransportsWithCodec(t *testing.T) {
 	sa, sb := newSink(), newSink()
-	ta, err := New(1, sa, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ta.Close() })
-	tb, err := New(2, sb, Options{ListenAddr: "127.0.0.1:0", Codec: stubCodec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tb.Close() })
+	ta := newTestTransport(t, 1, sa)
+	tb := newTestTransport(t, 2, sb)
 
 	ta.LearnAddr(2, tb.Addr())
 	ta.Send(1, 2, wireMsg{Seq: 1, Body: "wire over tcp"})
-	ta.Send(1, 2, testMsg{Seq: 2, Body: "gob over tcp"}) // fallback on the same conn
+	ta.Send(1, 2, testMsg{Seq: 2, Body: "no codec"}) // dropped on the same conn
+	ta.Send(1, 2, wireMsg{Seq: 3, Body: "still up"})
 	got := sb.wait(t, 2, 10*time.Second)
 	if got[0].Msg != (wireMsg{Seq: 1, Body: "wire over tcp"}) {
 		t.Fatalf("got %+v", got[0])
 	}
-	if got[1].Msg != (testMsg{Seq: 2, Body: "gob over tcp"}) {
+	if got[1].Msg != (wireMsg{Seq: 3, Body: "still up"}) {
 		t.Fatalf("got %+v", got[1])
+	}
+	if st := ta.Stats(); st.DroppedCodec != 1 || st.Dials != 1 {
+		t.Fatalf("stats %+v, want DroppedCodec=1 on one connection", st)
+	}
+	if st := tb.Stats(); st.Accepts != 1 {
+		t.Fatalf("receiver accepted %d connections, want 1", st.Accepts)
 	}
 }
 
@@ -379,8 +376,8 @@ func TestFrameReaderReusesBufferSafely(t *testing.T) {
 	r := newFrameReader(&buf, 1<<20, stubCodec{})
 	var got []Envelope
 	for i := 0; i < frames; i++ {
-		var env Envelope
-		if err := r.next(&env); err != nil {
+		env, err := r.readEnvelope()
+		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		got = append(got, env)
