@@ -146,7 +146,7 @@ func (SimScheme) SignatureSize() int { return simSigSize }
 // NewSigner implements Scheme.
 func (SimScheme) NewSigner(seed []byte) Signer {
 	pub := Hash([]byte("atum-sim-pub"), seed)
-	return simSigner{pub: pub[:]}
+	return simSigner{pub: pub[:], key: simKey(pub[:])}
 }
 
 // Verify implements Scheme.
@@ -154,21 +154,49 @@ func (SimScheme) Verify(pub, msg, sig []byte) bool {
 	if len(sig) != simSigSize {
 		return false
 	}
-	want := simSign(pub, msg)
-	return hmac.Equal(want, sig)
+	key := simKey(pub)
+	want := simMAC(&key, msg)
+	return hmac.Equal(want[:], sig)
 }
 
 type simSigner struct {
 	pub []byte
+	key Digest // simKey(pub), derived once per signer
 }
 
 func (s simSigner) Public() []byte { return s.pub }
 
-func (s simSigner) Sign(msg []byte) []byte { return simSign(s.pub, msg) }
+func (s simSigner) Sign(msg []byte) []byte {
+	mac := simMAC(&s.key, msg)
+	return mac[:]
+}
 
-func simSign(pub, msg []byte) []byte {
-	key := Hash([]byte("atum-sim"), pub)
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(msg)
-	return mac.Sum(nil)
+// simKey is the HMAC key of a SimScheme public key: H("atum-sim" || pub).
+func simKey(pub []byte) Digest {
+	return Hash([]byte("atum-sim"), pub)
+}
+
+// simMAC computes HMAC-SHA256(key, msg) as RFC 2104 defines it, byte for
+// byte what crypto/hmac returns, without allocating: the key is shorter
+// than a SHA-256 block, so both padded keys and the outer hash input fit
+// in one stack array.
+func simMAC(key *Digest, msg []byte) Digest {
+	const (
+		block = sha256.BlockSize
+		ipad  = 0x36
+		opad  = 0x5c
+	)
+	var buf [block + DigestSize]byte
+	for i := range block {
+		buf[i] = ipad
+	}
+	for i, k := range key {
+		buf[i] ^= k
+	}
+	inner := Hash(buf[:block], msg)
+	for i := range block {
+		buf[i] ^= ipad ^ opad
+	}
+	copy(buf[block:], inner[:])
+	return sha256.Sum256(buf[:])
 }

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
@@ -204,4 +205,56 @@ func TestHashDoesNotAllocate(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// TestSimSchemeMatchesHMAC pins SimScheme signatures to the crypto/hmac
+// reference HMAC-SHA256(H("atum-sim" || pub), msg), so the allocation-free
+// MAC changes no signature byte.
+func TestSimSchemeMatchesHMAC(t *testing.T) {
+	var s SimScheme
+	rng := rand.New(rand.NewSource(1))
+	for _, seed := range []string{"", "node-1", "node-2", "bench", "a much longer signer seed than one hash block"} {
+		signer := s.NewSigner([]byte(seed))
+		pub := signer.Public()
+		key := Hash([]byte("atum-sim"), pub)
+		for _, size := range []int{0, 1, 32, 96, 200} {
+			msg := make([]byte, size)
+			rng.Read(msg)
+			mac := hmac.New(sha256.New, key[:])
+			mac.Write(msg)
+			want := mac.Sum(nil)
+			if got := signer.Sign(msg); !bytes.Equal(got, want) {
+				t.Fatalf("seed %q, %d-byte msg: Sign = %x, want %x", seed, size, got, want)
+			}
+			if !s.Verify(pub, msg, want) {
+				t.Fatalf("seed %q, %d-byte msg: Verify rejected the reference HMAC", seed, size)
+			}
+			bad := bytes.Clone(want)
+			bad[size%len(bad)] ^= 1
+			if s.Verify(pub, msg, bad) {
+				t.Fatalf("seed %q, %d-byte msg: Verify accepted a flipped signature", seed, size)
+			}
+		}
+	}
+}
+
+// TestSimSchemeAllocations bounds SimScheme on a 32-byte digest, the
+// message every SMR signature covers: Sign allocates only the returned
+// slice and Verify allocates nothing.
+func TestSimSchemeAllocations(t *testing.T) {
+	var s SimScheme
+	signer := s.NewSigner([]byte("allocs"))
+	pub := signer.Public()
+	msg := Hash([]byte("digest"))
+	sig := signer.Sign(msg[:])
+	if allocs := testing.AllocsPerRun(100, func() { sig = signer.Sign(msg[:]) }); allocs > 1 {
+		t.Errorf("Sign: %.1f allocs/op, want <= 1", allocs)
+	}
+	ok := true
+	if allocs := testing.AllocsPerRun(100, func() { ok = s.Verify(pub, msg[:], sig) }); allocs != 0 {
+		t.Errorf("Verify: %.1f allocs/op, want 0", allocs)
+	}
+	if !ok {
+		t.Error("Verify rejected a valid signature")
+	}
 }

@@ -18,6 +18,11 @@
 // Slots finalize in deterministic (round, member index) order, so all
 // correct members observe the same committed sequence.
 //
+// Each replica checks a value's signature chain once, on first acceptance.
+// The up to g−1 relayed copies that follow change nothing, so a copy whose
+// ops are byte-equal to an accepted value of its slot is dropped before it
+// is hashed, and one with a known digest before its chain is verified.
+//
 // Tolerates f = ⌊(g−1)/2⌋ Byzantine members under the synchrony assumption
 // that any message sent in round r arrives before round r+1 — in Atum this
 // holds because round length (1–1.5 s in the paper) vastly exceeds
@@ -25,6 +30,7 @@
 package dolev
 
 import (
+	"bytes"
 	"sort"
 
 	"atum/internal/actor"
@@ -99,16 +105,10 @@ type slotKey struct {
 	sender     ids.NodeID
 }
 
-type slotValue struct {
-	digest crypto.Digest
-	ops    []smr.Operation
-	sigs   []SigEntry // chain as first accepted, before appending our own
-}
-
 type slotState struct {
-	// accepted values keyed by batch digest; more than one means the
-	// sender equivocated and the slot will commit nothing.
-	accepted map[crypto.Digest]*slotValue
+	// accepted values' ops keyed by batch digest; more than one means
+	// the sender equivocated and the slot will commit nothing.
+	accepted map[crypto.Digest][]smr.Operation
 }
 
 // Replica is a Dolev-Strong SMR member. It implements smr.Replica.
@@ -147,10 +147,6 @@ func New(cfg smr.Config) *Replica {
 // F returns the number of faults this replica's configuration tolerates.
 func (r *Replica) F() int { return r.f }
 
-func (r *Replica) memberIndex(id ids.NodeID) int {
-	return ids.FindIdentity(r.cfg.Members, id)
-}
-
 // Propose implements smr.Replica. The operation is broadcast at the next
 // round boundary.
 func (r *Replica) Propose(op smr.Operation) {
@@ -187,23 +183,28 @@ func (r *Replica) Tick(round uint64) {
 	// Finalize all slots started at least f+1 rounds ago.
 	if round >= uint64(r.f)+1 {
 		due := round - uint64(r.f) - 1
-		var keys []slotKey
+		type dueSlot struct {
+			key       slotKey
+			senderIdx int
+		}
+		var dues []dueSlot
 		for k := range r.slots {
 			if k.startRound <= due {
-				keys = append(keys, k)
+				dues = append(dues, dueSlot{k, ids.FindIdentity(r.cfg.Members, k.sender)})
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].startRound != keys[j].startRound {
-				return keys[i].startRound < keys[j].startRound
+		sort.Slice(dues, func(i, j int) bool {
+			if dues[i].key.startRound != dues[j].key.startRound {
+				return dues[i].key.startRound < dues[j].key.startRound
 			}
-			return r.memberIndex(keys[i].sender) < r.memberIndex(keys[j].sender)
+			return dues[i].senderIdx < dues[j].senderIdx
 		})
-		for _, key := range keys {
+		for _, d := range dues {
+			key := d.key
 			st := r.slots[key]
 			if len(st.accepted) == 1 {
-				for _, v := range st.accepted {
-					for _, op := range v.ops {
+				for _, ops := range st.accepted {
+					for _, op := range ops {
 						r.cfg.Commit(op)
 					}
 				}
@@ -272,33 +273,77 @@ func (r *Replica) Receive(_ ids.NodeID, raw actor.Message) {
 		// the in-time members).
 		elapsed = 0
 	}
-	if !r.verifyChain(msg, elapsed) {
-		r.cfg.Logln("dolev %v/%d: REJECT chain slot(%d,%v) sigs=%d elapsed=%d prebirth=%v", r.cfg.GroupID, r.cfg.Epoch, msg.StartRound, msg.Sender, len(msg.Sigs), elapsed, preBirth)
+	// A copy of an accepted value changes no state and sends nothing, so
+	// it is dropped before any hashing or signature check. Byte-equal ops
+	// in the same slot, group and epoch have the accepted value's digest.
+	st := r.slots[slotKey{startRound: msg.StartRound, sender: msg.Sender}]
+	if st.hasOps(msg.Ops) {
 		return
 	}
 	digest := smr.OpsDigest(msg.GroupID, msg.Epoch, msg.StartRound, msg.Sender, msg.Ops)
-	if !r.knownValue(msg, digest) {
-		r.accept(msg, digest)
-		if !preBirth {
-			r.relay(msg, digest)
-		}
+	if st.hasDigest(digest) {
+		return
+	}
+	if !r.verifyChain(msg, digest, elapsed) {
+		r.cfg.Logln("dolev %v/%d: REJECT chain slot(%d,%v) sigs=%d elapsed=%d prebirth=%v", r.cfg.GroupID, r.cfg.Epoch, msg.StartRound, msg.Sender, len(msg.Sigs), elapsed, preBirth)
+		return
+	}
+	r.accept(msg, digest)
+	if !preBirth {
+		r.relay(msg, digest)
 	}
 }
 
-func (r *Replica) knownValue(msg SlotMsg, digest crypto.Digest) bool {
-	key := slotKey{startRound: msg.StartRound, sender: msg.Sender}
-	st, ok := r.slots[key]
-	if !ok {
+// hasOps reports whether the slot accepted a value with exactly these ops.
+// A nil slot has accepted nothing.
+func (st *slotState) hasOps(ops []smr.Operation) bool {
+	if st == nil {
 		return false
 	}
-	_, seen := st.accepted[digest]
-	return seen
+	for _, accepted := range st.accepted {
+		if opsEqual(accepted, ops) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasDigest reports whether the slot accepted a value with this digest.
+func (st *slotState) hasDigest(digest crypto.Digest) bool {
+	if st == nil {
+		return false
+	}
+	_, ok := st.accepted[digest]
+	return ok
+}
+
+func opsEqual(a, b []smr.Operation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Proposer != b[i].Proposer || a[i].OpID != b[i].OpID || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// signedBy reports whether id appears in the chain. Chains hold at most
+// g entries, so a scan beats building a set per message.
+func signedBy(sigs []SigEntry, id ids.NodeID) bool {
+	for _, e := range sigs {
+		if e.Node == id {
+			return true
+		}
+	}
+	return false
 }
 
 // verifyChain checks the Dolev-Strong acceptance rule: at relative round k,
 // a message needs ≥ k+1 valid signatures from distinct members over the
 // batch digest, the first from the slot's sender.
-func (r *Replica) verifyChain(msg SlotMsg, elapsed uint64) bool {
+func (r *Replica) verifyChain(msg SlotMsg, digest crypto.Digest, elapsed uint64) bool {
 	if len(msg.Sigs) == 0 || msg.Sigs[0].Node != msg.Sender {
 		return false
 	}
@@ -308,13 +353,10 @@ func (r *Replica) verifyChain(msg SlotMsg, elapsed uint64) bool {
 	if ids.FindIdentity(r.cfg.Members, msg.Sender) < 0 {
 		return false
 	}
-	digest := smr.OpsDigest(msg.GroupID, msg.Epoch, msg.StartRound, msg.Sender, msg.Ops)
-	seen := make(map[ids.NodeID]bool, len(msg.Sigs))
-	for _, entry := range msg.Sigs {
-		if seen[entry.Node] {
+	for i, entry := range msg.Sigs {
+		if signedBy(msg.Sigs[:i], entry.Node) {
 			return false
 		}
-		seen[entry.Node] = true
 		idx := ids.FindIdentity(r.cfg.Members, entry.Node)
 		if idx < 0 {
 			return false
@@ -330,22 +372,18 @@ func (r *Replica) accept(msg SlotMsg, digest crypto.Digest) {
 	key := slotKey{startRound: msg.StartRound, sender: msg.Sender}
 	st, ok := r.slots[key]
 	if !ok {
-		st = &slotState{accepted: make(map[crypto.Digest]*slotValue)}
+		st = &slotState{accepted: make(map[crypto.Digest][]smr.Operation)}
 		r.slots[key] = st
 	}
 	if _, seen := st.accepted[digest]; seen {
 		return
 	}
-	st.accepted[digest] = &slotValue{digest: digest, ops: msg.Ops, sigs: msg.Sigs}
+	st.accepted[digest] = msg.Ops
 }
 
 // relay appends our signature and forwards to members not yet in the chain.
 func (r *Replica) relay(msg SlotMsg, digest crypto.Digest) {
-	inChain := make(map[ids.NodeID]bool, len(msg.Sigs)+1)
-	for _, e := range msg.Sigs {
-		inChain[e.Node] = true
-	}
-	if inChain[r.cfg.Self] {
+	if signedBy(msg.Sigs, r.cfg.Self) {
 		return // we already signed this value; everyone will get it
 	}
 	sig := r.cfg.Signer.Sign(digest[:])
@@ -354,7 +392,7 @@ func (r *Replica) relay(msg SlotMsg, digest crypto.Digest) {
 	out.Sigs = append(out.Sigs, msg.Sigs...)
 	out.Sigs = append(out.Sigs, SigEntry{Node: r.cfg.Self, Sig: sig})
 	for _, m := range r.cfg.Members {
-		if m.ID == r.cfg.Self || inChain[m.ID] {
+		if m.ID == r.cfg.Self || signedBy(msg.Sigs, m.ID) {
 			continue
 		}
 		r.cfg.Send(m.ID, out)
