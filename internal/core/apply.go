@@ -370,11 +370,21 @@ func nbrUpdateMsgID(newComp group.Composition, to ids.GroupID) crypto.Digest {
 }
 
 func gossipMsgID(bcastID crypto.Digest, src group.Composition, dst ids.GroupID) crypto.Digest {
+	return gossipMsgIDFrom(gossipMsgPrefix(bcastID, src), dst)
+}
+
+// gossipMsgPrefix is the destination-independent part of gossipMsgID: a
+// forward computes it once per broadcast and derives each link's MsgID
+// from it with gossipMsgIDFrom.
+func gossipMsgPrefix(bcastID crypto.Digest, src group.Composition) crypto.Digest {
 	d := crypto.Hash([]byte("atum-gossip"), bcastID[:])
 	d = crypto.HashUint64(d, uint64(src.GroupID))
-	d = crypto.HashUint64(d, src.Epoch)
-	d = crypto.HashUint64(d, uint64(dst))
-	return d
+	return crypto.HashUint64(d, src.Epoch)
+}
+
+// gossipMsgIDFrom completes a gossipMsgPrefix for one destination vgroup.
+func gossipMsgIDFrom(prefix crypto.Digest, dst ids.GroupID) crypto.Digest {
+	return crypto.HashUint64(prefix, uint64(dst))
 }
 
 func walkMsgID(walkID crypto.Digest, step int, dst ids.GroupID) crypto.Digest {

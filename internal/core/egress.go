@@ -205,34 +205,46 @@ func batchMsgID(src group.Composition, dst ids.GroupID, self ids.NodeID, seq uin
 // re-forwarding then follow the ordinary per-message path, so Forward-
 // callback and agreement semantics hold per inner item, not per batch. Raw
 // items go straight to the application hook, exactly like a direct SendRaw.
+//
+// The node's BatchReader decodes carrier after carrier into the same
+// buffers. It is taken out of the node for the duration of the call: an
+// application callback that re-enters handleBatch gets a fresh reader
+// instead of overwriting the items this call is still visiting.
 func (n *Node) handleBatch(from ids.NodeID, m group.GroupMsg) {
-	inner, err := group.UnpackBatch(m)
+	r := n.batchReader
+	if r == nil {
+		r = new(group.BatchReader)
+	}
+	n.batchReader = nil
+	err := r.Unpack(m, func(im group.GroupMsg) { n.handleBatchItem(from, im) })
+	n.batchReader = r
 	if err != nil {
 		n.logf("egress batch from %v: %v", from, err)
-		return
 	}
-	for _, im := range inner {
-		switch {
-		case im.Kind == kindRaw:
-			if im.Payload != nil {
-				n.handleRawItem(from, im.Payload)
-			}
-		case advisoryKinds[im.Kind]:
-			// Tree advisory items bypass the inbox, exactly as when they
-			// arrive as standalone group messages (tree.go).
-			n.handleTreeAdvisory(from, im)
-		case batchableKinds[im.Kind]:
-			if acc, ok := n.inbox.Observe(n.env.Now(), from, im); ok {
-				n.handleAccepted(acc)
-			}
-		default:
-			// Unknown tags drop silently; a known-but-unbatchable kind
-			// inside a carrier is a sender bug (or a hostile frame trying
-			// to smuggle node-addressed traffic past its handler's
-			// assumptions) and is worth a log line.
-			if unbatchedKinds[im.Kind] {
-				n.logf("egress batch from %v: kind %d is not batchable, dropped", from, im.Kind)
-			}
+}
+
+// handleBatchItem dispatches one inner item of a batch carrier.
+func (n *Node) handleBatchItem(from ids.NodeID, im group.GroupMsg) {
+	switch {
+	case im.Kind == kindRaw:
+		if im.Payload != nil {
+			n.handleRawItem(from, im.Payload)
+		}
+	case advisoryKinds[im.Kind]:
+		// Tree advisory items bypass the inbox, exactly as when they
+		// arrive as standalone group messages (tree.go).
+		n.handleTreeAdvisory(from, im)
+	case batchableKinds[im.Kind]:
+		if acc, ok := n.inbox.Observe(n.env.Now(), from, im); ok {
+			n.handleAccepted(acc)
+		}
+	default:
+		// Unknown tags drop silently; a known-but-unbatchable kind
+		// inside a carrier is a sender bug (or a hostile frame trying
+		// to smuggle node-addressed traffic past its handler's
+		// assumptions) and is worth a log line.
+		if unbatchedKinds[im.Kind] {
+			n.logf("egress batch from %v: kind %d is not batchable, dropped", from, im.Kind)
 		}
 	}
 }

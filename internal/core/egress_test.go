@@ -153,6 +153,59 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 	}
 }
 
+// gossipCarrier returns the full-payload batch carrier member 1 of comp
+// sends toward nbr for one gossip item per broadcast data string.
+func gossipCarrier(t *testing.T, comp, nbr group.Composition, data ...string) group.GroupMsg {
+	t.Helper()
+	n, _ := memberNode(t, 1, comp, nbr)
+	for _, s := range data {
+		id := crypto.Hash([]byte(s))
+		n.sendViaEgress(comp, nbr, kindGossip, gossipMsgID(id, comp, nbr.GroupID),
+			n.encPayload(gossipPayload{BcastID: id, Origin: 1, Data: []byte(s), Hops: 1}))
+	}
+	n.egress.FlushAll()
+	for _, q := range n.outQ {
+		if m, ok := q.msg.(group.GroupMsg); ok && m.Kind == kindBatch && m.Payload != nil {
+			return m
+		}
+	}
+	t.Fatal("no full-payload batch carrier in outQ")
+	return group.GroupMsg{}
+}
+
+// TestHandleBatchReentrantDeliver: a Deliver callback that re-enters
+// handleBatch with another carrier must not disturb the carrier the outer
+// call is still visiting. Both carriers are processed in full, each
+// broadcast delivered once, the inner carrier's in the middle of the
+// outer's.
+func TestHandleBatchReentrantDeliver(t *testing.T) {
+	comp := testComp(7, 3, 1, 2, 3)
+	nbr := testComp(9, 1, 4, 5, 6)
+	outer := gossipCarrier(t, comp, nbr, "a1", "a2", "a3")
+	inner := gossipCarrier(t, comp, nbr, "b1", "b2", "b3")
+
+	recv, _ := memberNode(t, 4, nbr, comp)
+	var got []string
+	recv.cfg.Callbacks.Deliver = func(d Delivery) {
+		got = append(got, string(d.Data))
+		if len(got) == 1 {
+			recv.handleBatch(2, inner) // the second vote completes the inner carrier
+		}
+	}
+	recv.handleBatch(1, outer)
+	recv.handleBatch(1, inner)
+	if len(got) != 0 {
+		t.Fatalf("delivered %v on one vote per item", got)
+	}
+	recv.handleBatch(2, outer)
+	if want := []string{"a1", "b1", "b2", "b3", "a2", "a3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("deliveries = %v, want %v", got, want)
+	}
+	if recv.batchReader == nil {
+		t.Fatal("handleBatch did not give its reader back")
+	}
+}
+
 // TestEgressFlushesWalkAndChurnKindsBeforeReconfigure is the satellite
 // regression test: pending walk and neighbor-update traffic must flush
 // before the epoch bump, stamped with the enqueue-time composition — the

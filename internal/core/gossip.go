@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"atum/internal/crypto"
@@ -113,6 +114,11 @@ func (n *Node) handleGossip(acc group.Accepted, p gossipPayload) {
 // plain Broadcast).
 func (n *Node) forwardGossip(d Delivery) { n.forwardGossipWith(d, BroadcastOpts{}) }
 
+// maxInlineCycles sizes the per-call link-dedup arrays of the forward and
+// tree paths: up to this many H-graph cycles dedup without allocating, and
+// more spill to the heap.
+const maxInlineCycles = 8
+
 // forwardGossipWith offers every overlay link to the Forward callback and
 // queues this member's share of the chosen group messages on the egress
 // scheduler. The default (nil callback) floods all cycles in both
@@ -132,22 +138,23 @@ func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
 		expires = n.env.Now() + opts.TTL
 	}
 	payload := n.encPayload(gossipPayload{BcastID: d.BcastID, Origin: d.Origin, Data: d.Data, Hops: d.Hops + 1})
-	// The payload is the same on every link: hash it once, at the first
-	// eager link, instead of once per link at framing time.
-	var digest crypto.Digest
+	// The payload and the MsgID prefix are the same on every link: compute
+	// them once, at the first eager link, instead of once per link.
+	var digest, prefix crypto.Digest
 	n.treeRemember(d)
-	sent := make(map[group.Key]bool)
+	var sentBuf [2 * maxInlineCycles]group.Key
+	sent := sentBuf[:0]
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
 		for _, dir := range []overlay.Direction{overlay.Pred, overlay.Succ} {
 			nbr := st.nbrs.At(overlay.Link{Cycle: c, Dir: dir})
-			if nbr.GroupID == 0 || nbr.GroupID == st.comp.GroupID || sent[nbr.Key()] {
+			if nbr.GroupID == 0 || nbr.GroupID == st.comp.GroupID || slices.Contains(sent, nbr.Key()) {
 				continue
 			}
 			link := ForwardLink{Cycle: c, Succ: dir == overlay.Succ, Neighbor: nbr.GroupID}
 			if n.cfg.Callbacks.Forward != nil && !n.cfg.Callbacks.Forward(d, link) {
 				continue
 			}
-			sent[nbr.Key()] = true
+			sent = append(sent, nbr.Key())
 			if n.treeEnabled() && n.treeLazy(nbr.GroupID) {
 				// Lazy tree link: announce instead of pushing the payload
 				// (tree.go); a receiver that misses it grafts the link back.
@@ -156,8 +163,9 @@ func (n *Node) forwardGossipWith(d Delivery, opts BroadcastOpts) {
 			}
 			if digest.IsZero() {
 				digest = crypto.Hash(payload)
+				prefix = gossipMsgPrefix(d.BcastID, st.comp)
 			}
-			it := group.BatchItem{Kind: kindGossip, MsgID: gossipMsgID(d.BcastID, st.comp, nbr.GroupID),
+			it := group.BatchItem{Kind: kindGossip, MsgID: gossipMsgIDFrom(prefix, nbr.GroupID),
 				Payload: payload, Digest: digest}
 			n.sendViaEgressWith(st.comp, nbr, it, egress.Class(opts.Priority), expires)
 		}

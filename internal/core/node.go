@@ -73,6 +73,10 @@ type Node struct {
 	replica      smr.Replica
 	replicaEpoch uint64
 
+	// batchReader decodes incoming batch carriers into reused buffers;
+	// handleBatch holds it (nil here) while it visits a carrier's items.
+	batchReader *group.BatchReader
+
 	inbox *group.Inbox
 	comps map[group.Key]group.Composition
 	compQ []group.Key

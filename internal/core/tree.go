@@ -44,6 +44,7 @@ package core
 // safe default.
 
 import (
+	"slices"
 	"time"
 
 	"atum/internal/crypto"
@@ -126,7 +127,11 @@ type treeState struct {
 	active     map[ids.GroupID]time.Duration                // last payload arrival per provider vgroup
 	pruneSent  map[ids.GroupID]time.Duration                // PRUNE rate limit per link
 	graftSent  map[treeGraftKey]time.Duration               // graft service rate limit
+	rank       map[treeRankKey]crypto.Digest                // treeRank memo
 }
+
+// treeRankKey is one (receiver vgroup, provider vgroup) in-link.
+type treeRankKey struct{ dst, src ids.GroupID }
 
 func newTreeState() *treeState {
 	return &treeState{
@@ -138,6 +143,7 @@ func newTreeState() *treeState {
 		active:     make(map[ids.GroupID]time.Duration),
 		pruneSent:  make(map[ids.GroupID]time.Duration),
 		graftSent:  make(map[treeGraftKey]time.Duration),
+		rank:       make(map[treeRankKey]crypto.Digest),
 	}
 }
 
@@ -306,21 +312,38 @@ func (n *Node) treeProviders(now time.Duration, excl ids.GroupID) int {
 // GroupID, which survives epochs; splits and merges re-rank naturally.
 func (n *Node) treeKeptProvider(src ids.GroupID) bool {
 	st := n.st
-	srcRank := treeRank(st.comp.GroupID, src)
+	srcRank := n.treeRankOf(st.comp.GroupID, src)
 	better := 0
-	counted := make(map[ids.GroupID]bool)
+	var countedBuf [2 * maxInlineCycles]ids.GroupID
+	counted := countedBuf[:0]
 	for c := 0; c < st.nbrs.NumCycles(); c++ {
 		for _, gid := range []ids.GroupID{st.nbrs.Preds[c].GroupID, st.nbrs.Succs[c].GroupID} {
-			if gid == 0 || gid == st.comp.GroupID || gid == src || counted[gid] {
+			if gid == 0 || gid == st.comp.GroupID || gid == src || slices.Contains(counted, gid) {
 				continue
 			}
-			counted[gid] = true
-			if r := treeRank(st.comp.GroupID, gid); bytesLess(r[:], srcRank[:]) {
+			counted = append(counted, gid)
+			if r := n.treeRankOf(st.comp.GroupID, gid); bytesLess(r[:], srcRank[:]) {
 				better++
 			}
 		}
 	}
 	return better < treeMinProviders
+}
+
+// treeRankOf is treeRank, memoized in the tree state: duplicates re-rank
+// the same few neighbor links over and over. The memo restarts empty once
+// it holds maxTreeLinks ranks.
+func (n *Node) treeRankOf(dst, src ids.GroupID) crypto.Digest {
+	k := treeRankKey{dst: dst, src: src}
+	if r, ok := n.tree.rank[k]; ok {
+		return r
+	}
+	if len(n.tree.rank) >= maxTreeLinks {
+		clear(n.tree.rank)
+	}
+	r := treeRank(dst, src)
+	n.tree.rank[k] = r
+	return r
 }
 
 // bytesLess is a lexicographic compare for rank digests.

@@ -187,6 +187,29 @@ func TestTreeDuplicateVotesDeterministically(t *testing.T) {
 	_ = env
 }
 
+// TestTreeRankMemo: the memoized rank equals treeRank, the memo stays
+// within maxTreeLinks however many links it has ranked, and it resets with
+// the tree state.
+func TestTreeRankMemo(t *testing.T) {
+	comp := testComp(7, 3, 1, 2, 3)
+	n, _ := treeMemberNode(t, 1, comp, testComp(9, 1, 4, 5, 6))
+	for i := 0; i < 3*maxTreeLinks; i++ {
+		dst, src := ids.GroupID(7+i%3), ids.GroupID(100+i)
+		for rep := 0; rep < 2; rep++ { // the second lookup is a memo hit
+			if n.treeRankOf(dst, src) != treeRank(dst, src) {
+				t.Fatalf("memoized rank of (%v, %v) differs from treeRank", dst, src)
+			}
+		}
+		if len(n.tree.rank) > maxTreeLinks {
+			t.Fatalf("rank memo holds %d entries, bound is %d", len(n.tree.rank), maxTreeLinks)
+		}
+	}
+	n.SetTreeGossip(false)
+	if len(n.tree.rank) != 0 {
+		t.Fatalf("rank memo survived a tree reset with %d entries", len(n.tree.rank))
+	}
+}
+
 // TestTreeGraftAfterMiss covers the repair path: an IHAVE for an undelivered
 // broadcast arms the miss timer; when it fires with the payload still absent,
 // the node re-promotes the announcing link and grafts node-addressed (payload

@@ -261,10 +261,10 @@ func commonSuffixLen(a, b []byte, max int) int {
 // decodedBatchItem is one inner item recovered from a batch frame. Payload is
 // nil on digest-only copies. Literal payloads alias the frame buffer (the
 // zero-copy decode path); back-referenced payloads are reconstructed into
-// the frame's shared arena. digest is the claimed digest of a digest-only
-// item and the computed digest of a derived-MsgID item; a full item with a
-// MsgID on the wire leaves it zero — the frame carries no digest for it, and
-// the inbox derives one from the bytes only if the copy still needs a vote.
+// the reader's arena. digest is the claimed digest of a digest-only item
+// and the computed digest of a derived-MsgID item; a full item with a MsgID
+// on the wire leaves it zero — the frame carries no digest for it, and the
+// inbox derives one from the bytes only if the copy still needs a vote.
 type decodedBatchItem struct {
 	kind    Kind
 	msgID   crypto.Digest
@@ -272,75 +272,159 @@ type decodedBatchItem struct {
 	payload []byte
 }
 
-// decodeBatchFrame dispatches on the first frame byte. Hostile frames (bad
-// lengths, truncation, trailing bytes, oversized item counts, out-of-window
-// back-references, nonzero bitmap padding) return an error. A v1 frame —
-// recognizable by its 0x00 first byte — is rejected explicitly: the v1
-// writer was removed after its migration window, so reaching that case
-// means a peer is running a pre-v2 build, not that the frame is corrupt.
-func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("group: empty batch frame")
-	}
-	switch b[0] {
-	case 0x00:
-		return nil, fmt.Errorf("group: legacy v1 batch frame; the v1 writer was removed after its migration window — upgrade the sending node")
-	case batchFrameV2:
-		return decodeBatchFrameV2(b[1:])
-	default:
-		return nil, fmt.Errorf("group: unsupported batch frame version %#x", b[0])
+// msg returns the item as a logical group message under carrier m's
+// headers.
+func (it *decodedBatchItem) msg(m *GroupMsg) GroupMsg {
+	return GroupMsg{
+		SrcGroup:      m.SrcGroup,
+		SrcEpoch:      m.SrcEpoch,
+		DstGroup:      m.DstGroup,
+		DstEpoch:      m.DstEpoch,
+		Kind:          it.kind,
+		MsgID:         it.msgID,
+		PayloadDigest: it.digest,
+		Payload:       it.payload,
 	}
 }
 
-// decodeBatchFrameV2 reverses encodeBatchFrameV2; b starts after the version
-// byte.
-func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
+// BatchReader decodes batch carriers into buffers it reuses from one
+// carrier to the next: the decoded-item slice, the dictionary window, and
+// the back-reference arena. A warm reader decodes an honest carrier
+// without allocating, apart from a new arena chunk once the current one is
+// full. The zero value is ready to use; a reader is not safe for
+// concurrent use.
+//
+// Payloads handed out stay valid after the next carrier: literals alias
+// their own frame, and the arena is only ever appended to — a full chunk is
+// abandoned to the payloads that point into it, never overwritten.
+type BatchReader struct {
+	items []decodedBatchItem // the current frame, decoded in full before any item is visited
+	fulls [][]byte           // dictionary window source, in item order
+	arena []byte             // back-reference reconstruction space
+	// Per-frame decode state (see decodePayloadForm).
+	budget   int
+	frameLen int
+}
+
+// Retention bounds: a reader keeps its item buffer and arena chunk for the
+// next carrier only up to these capacities, so one oversized (or hostile)
+// frame does not pin its high-water allocation for the node's lifetime.
+const (
+	maxReaderItems = 256
+	maxArenaChunk  = 1 << 16
+)
+
+// Unpack decodes carrier m and calls visit once per inner item, in frame
+// order, with the fields UnpackBatch documents. The whole frame is decoded
+// and validated before the first visit: a frame with a corrupt tail returns
+// its error and visits nothing. visit must not call Unpack on the same
+// reader (a re-entrant caller needs its own).
+func (r *BatchReader) Unpack(m GroupMsg, visit func(GroupMsg)) error {
+	err := r.decode(m.Payload)
+	if err == nil {
+		for i := range r.items {
+			visit(r.items[i].msg(&m))
+		}
+	}
+	r.reset()
+	return err
+}
+
+// reset drops the reader's references to the last frame's payloads, and
+// its buffers if they outgrew the retention bounds.
+func (r *BatchReader) reset() {
+	clear(r.items)
+	clear(r.fulls)
+	r.items, r.fulls = r.items[:0], r.fulls[:0]
+	if cap(r.items) > maxReaderItems {
+		r.items, r.fulls = nil, nil
+	}
+	if cap(r.arena) > maxArenaChunk {
+		r.arena = nil
+	}
+}
+
+// decodeBatchFrame decodes one frame into a fresh item slice.
+func decodeBatchFrame(b []byte) ([]decodedBatchItem, error) {
+	var r BatchReader
+	if err := r.decode(b); err != nil {
+		return nil, err
+	}
+	return r.items, nil
+}
+
+// decode dispatches on the first frame byte and leaves the frame's items in
+// r.items. Hostile frames (bad lengths, truncation, trailing bytes,
+// oversized item counts, out-of-window back-references, nonzero bitmap
+// padding) return an error. A v1 frame — recognizable by its 0x00 first
+// byte — is rejected explicitly: the v1 writer was removed after its
+// migration window, so reaching that case means a peer is running a pre-v2
+// build, not that the frame is corrupt.
+func (r *BatchReader) decode(b []byte) error {
+	if len(b) == 0 {
+		return fmt.Errorf("group: empty batch frame")
+	}
+	switch b[0] {
+	case 0x00:
+		return fmt.Errorf("group: legacy v1 batch frame; the v1 writer was removed after its migration window — upgrade the sending node")
+	case batchFrameV2:
+		return r.decodeV2(b[1:])
+	default:
+		return fmt.Errorf("group: unsupported batch frame version %#x", b[0])
+	}
+}
+
+// decodeV2 reverses encodeBatchFrameV2; b starts after the version byte.
+func (r *BatchReader) decodeV2(b []byte) error {
 	d := wire.NewDecoder(b)
 	n := d.ListLen()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	if n > MaxBatchItems {
-		return nil, fmt.Errorf("group: batch of %d items exceeds limit %d", n, MaxBatchItems)
+		return fmt.Errorf("group: batch of %d items exceeds limit %d", n, MaxBatchItems)
 	}
 	nb := (n + 7) / 8
 	fullBits := d.RawView(nb)
 	derivedBits := d.RawView(nb)
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	if pad := n % 8; pad != 0 && nb > 0 {
 		// Padding bits beyond the item count must be zero: one logical frame,
 		// one encoding.
 		mask := byte(0xFF) << pad
 		if fullBits[nb-1]&mask != 0 || derivedBits[nb-1]&mask != 0 {
-			return nil, fmt.Errorf("group: batch frame bitmap has nonzero padding bits")
+			return fmt.Errorf("group: batch frame bitmap has nonzero padding bits")
 		}
 	}
 	bit := func(bm []byte, i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
 
-	items := make([]decodedBatchItem, 0, n)
-	st := batchDecodeState{budget: decodeBudget(len(b)), frameLen: len(b)}
-	for len(items) < n {
+	r.items, r.fulls = r.items[:0], r.fulls[:0]
+	if cap(r.items) < n {
+		r.items = make([]decodedBatchItem, 0, n)
+	}
+	r.budget, r.frameLen = decodeBudget(len(b)), len(b)
+	for len(r.items) < n {
 		kind := Kind(d.Byte())
 		run := d.ListLen()
 		if d.Err() != nil {
-			return nil, d.Err()
+			return d.Err()
 		}
-		if run <= 0 || len(items)+run > n {
-			return nil, fmt.Errorf("group: batch frame run of %d items overflows count %d", run, n)
+		if run <= 0 || len(r.items)+run > n {
+			return fmt.Errorf("group: batch frame run of %d items overflows count %d", run, n)
 		}
-		for r := 0; r < run; r++ {
-			i := len(items)
+		for k := 0; k < run; k++ {
+			i := len(r.items)
 			it := decodedBatchItem{kind: kind}
 			derived := bit(derivedBits, i)
 			if !derived {
 				it.msgID = d.Bytes32()
 			}
 			if bit(fullBits, i) {
-				p, err := st.decodePayloadForm(d)
+				p, err := r.decodePayloadForm(d)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				it.payload = p
 				if derived {
@@ -348,7 +432,7 @@ func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
 					// the frame omits it, so it can only come from here.
 					it.digest = crypto.Hash(p)
 				}
-				st.fulls = append(st.fulls, p)
+				r.fulls = append(r.fulls, p)
 			} else {
 				it.digest = d.Bytes32()
 			}
@@ -356,32 +440,18 @@ func decodeBatchFrameV2(b []byte) ([]decodedBatchItem, error) {
 				it.msgID = it.digest
 			}
 			if d.Err() != nil {
-				return nil, d.Err()
+				return d.Err()
 			}
-			items = append(items, it)
+			r.items = append(r.items, it)
 		}
 	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return items, nil
-}
-
-// batchDecodeState carries the v2 decoder's cross-item state: the dictionary
-// window, the cumulative decompression budget, and one shared reconstruction
-// arena — back-referenced payloads are appended to it and handed out as
-// sub-slices, so a frame pays O(1) reconstruction allocations instead of one
-// per compressed item.
-type batchDecodeState struct {
-	fulls    [][]byte
-	arena    []byte
-	budget   int
-	frameLen int // sizes the arena at the first back-reference
+	return d.Finish()
 }
 
 // decodePayloadForm reads one full payload (literal or back-reference).
-// Literals alias the frame; back-references reconstruct into the arena.
-func (st *batchDecodeState) decodePayloadForm(d *wire.Decoder) ([]byte, error) {
+// Literals alias the frame; back-references reconstruct into the arena,
+// charged against the frame's decompression budget.
+func (r *BatchReader) decodePayloadForm(d *wire.Decoder) ([]byte, error) {
 	switch form := d.Byte(); form {
 	case payloadLiteral:
 		p := d.VarBytesView()
@@ -408,42 +478,50 @@ func (st *batchDecodeState) decodePayloadForm(d *wire.Decoder) ([]byte, error) {
 			return nil, fmt.Errorf("group: batch back-reference match %d+%d exceeds decompression budget", prefix32, suffix32)
 		}
 		prefix, suffix := int(prefix32), int(suffix32)
-		if delta < 1 || delta > dictWindow || delta > len(st.fulls) {
-			return nil, fmt.Errorf("group: batch back-reference %d outside dictionary window (%d full items)", delta, len(st.fulls))
+		if delta < 1 || delta > dictWindow || delta > len(r.fulls) {
+			return nil, fmt.Errorf("group: batch back-reference %d outside dictionary window (%d full items)", delta, len(r.fulls))
 		}
-		cand := st.fulls[len(st.fulls)-delta]
+		cand := r.fulls[len(r.fulls)-delta]
 		if prefix+suffix > len(cand) {
 			return nil, fmt.Errorf("group: batch back-reference match %d+%d exceeds candidate length %d", prefix, suffix, len(cand))
 		}
 		total := prefix + suffix + len(middle)
-		if total > st.budget {
+		if total > r.budget {
 			return nil, fmt.Errorf("group: batch frame exceeds its decompression budget")
 		}
-		st.budget -= total
+		r.budget -= total
 		if total == 0 {
 			return []byte{}, nil
 		}
-		if st.arena == nil {
-			// Allocate the arena at the first back-reference, sized so an
-			// honest frame (which expands a few-fold at most: references
-			// replace shared bytes, middles stay literal) never regrows it;
-			// the cap keeps a hostile frame from buying a large allocation
-			// up front. Frames without back-references allocate nothing.
-			guess := 4 * st.frameLen
-			if guess > 1<<16 {
-				guess = 1 << 16
+		if cap(r.arena)-len(r.arena) < total {
+			// Start a new chunk; the full one stays with the payloads that
+			// alias it. The first chunk is sized so an honest frame (which
+			// expands a few-fold at most: references replace shared bytes,
+			// middles stay literal) rarely outgrows it, and each later one
+			// doubles, so a reader fed a steady stream of back-references
+			// allocates once per many carriers. The cap keeps a hostile
+			// frame from buying a large allocation up front.
+			size := 2 * cap(r.arena)
+			if size < 4*r.frameLen {
+				size = 4 * r.frameLen
 			}
-			st.arena = make([]byte, 0, guess)
+			if size > maxArenaChunk {
+				size = maxArenaChunk
+			}
+			if size < total {
+				size = total
+			}
+			r.arena = make([]byte, 0, size)
 		}
-		// Appends never overlap cand even when cand aliases the arena: cand
-		// ends at or before the current length, writes start at it. The
-		// 3-index sub-slice pins the capacity so later arena appends cannot
-		// scribble into an already-returned payload.
-		start := len(st.arena)
-		st.arena = append(st.arena, cand[:prefix]...)
-		st.arena = append(st.arena, middle...)
-		st.arena = append(st.arena, cand[len(cand)-suffix:]...)
-		return st.arena[start:len(st.arena):len(st.arena)], nil
+		// The appends fit the chunk, so they never move it: cand ends at or
+		// before the current length even when it aliases the arena, and
+		// writes start at it. The 3-index sub-slice pins the capacity so
+		// later appends cannot scribble into an already-returned payload.
+		start := len(r.arena)
+		r.arena = append(r.arena, cand[:prefix]...)
+		r.arena = append(r.arena, middle...)
+		r.arena = append(r.arena, cand[len(cand)-suffix:]...)
+		return r.arena[start:len(r.arena):len(r.arena)], nil
 	default:
 		return nil, fmt.Errorf("group: unknown batch payload form %#x", form)
 	}
@@ -507,9 +585,11 @@ func SendBatchToNode(send SendFn, src Composition, self ids.NodeID, to ids.NodeI
 	})
 }
 
-// UnpackBatch recovers the inner logical messages of a batch carrier. Each
-// returned GroupMsg inherits the carrier's source and destination headers and
-// is ready for Inbox.Observe under the same link-authenticated sender.
+// UnpackBatch recovers the inner logical messages of a batch carrier into a
+// fresh slice. Each returned GroupMsg inherits the carrier's source and
+// destination headers and is ready for Inbox.Observe under the same
+// link-authenticated sender. Receive paths that handle carrier after
+// carrier use a BatchReader instead, which decodes into reused buffers.
 //
 // Fields filled per item: SrcGroup, SrcEpoch, DstGroup and DstEpoch from the
 // carrier; Kind and MsgID always (a derived-MsgID item's MsgID is the digest
@@ -525,18 +605,9 @@ func UnpackBatch(m GroupMsg) ([]GroupMsg, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]GroupMsg, 0, len(items))
-	for _, it := range items {
-		out = append(out, GroupMsg{
-			SrcGroup:      m.SrcGroup,
-			SrcEpoch:      m.SrcEpoch,
-			DstGroup:      m.DstGroup,
-			DstEpoch:      m.DstEpoch,
-			Kind:          it.kind,
-			MsgID:         it.msgID,
-			PayloadDigest: it.digest,
-			Payload:       it.payload,
-		})
+	out := make([]GroupMsg, len(items))
+	for i := range items {
+		out[i] = items[i].msg(&m)
 	}
 	return out, nil
 }

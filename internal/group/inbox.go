@@ -18,14 +18,17 @@ const maxEntriesPerKey = 1024
 // floods distinct payloads from making every later copy scan all of them.
 const maxDigestReuse = 4
 
-// Vote-table recycling bounds: the free list's length, and the capacities
-// past which a table (grown by a hostile flood of senders or payloads) is
-// dropped instead of reused.
+// Recycled-table capacity limits: a freed vote table whose slices grew
+// past these (under a hostile flood of senders or payloads) drops them
+// instead of keeping them for reuse.
 const (
-	maxFreeEntries      = 256
 	maxRecycledVotes    = 64
 	maxRecycledPayloads = maxDigestReuse
 )
+
+// minSlabShrink is the slab length below which Prune never compacts: a
+// small slab is not worth renumbering its entries for.
+const minSlabShrink = 64
 
 // Inbox is the receive side of the group-message primitive. One Inbox per
 // node accumulates per-sender votes for each logical message and reports
@@ -36,27 +39,25 @@ const (
 // neighbor reconfigured and its update is still in flight); such votes are
 // buffered and re-evaluated via FlushKey once the composition is learned.
 //
-// Votes and payloads live in small per-entry slices, recycled through a free
-// list, so counting a vote allocates nothing. An accepted entry becomes a
-// tombstone: it drops its votes and payloads but stays in the map (and in
-// its key's maxEntriesPerKey budget) until pruned, so stragglers are
-// recognised as duplicates with one map lookup and no hashing.
+// Entries live in one map per source composition, keyed by MsgID. An entry
+// holds no pointer: its vote table is an index into a slab of tables whose
+// freed slots are reused, so the garbage collector never scans the entry
+// maps and counting a vote allocates nothing. An accepted entry becomes a
+// tombstone: it releases its table but stays in its source's map (and in
+// its maxEntriesPerKey budget) until pruned, so stragglers are recognised
+// as duplicates with one map lookup and no hashing.
 type Inbox struct {
-	lookup  func(Key) (Composition, bool)
-	entries map[entryKey]entry
-	byKey   map[Key]map[crypto.Digest]bool // src → msgIDs with entries, tombstones included
-	free    []*votes
+	lookup func(Key) (Composition, bool)
+	bySrc  map[Key]map[crypto.Digest]entry // tombstones included
+	slab   []votes                         // vote tables of live entries
+	free   []int32                         // unused slab indices
 }
 
-type entryKey struct {
-	src   Key
-	msgID crypto.Digest
-}
-
-// entry is one logical message. live is nil once the message was accepted.
+// entry is one logical message. live is 1 + the slab index of its vote
+// table, or 0 once the message was accepted.
 type entry struct {
 	firstAt time.Duration
-	live    *votes
+	live    int32
 }
 
 // votes is the vote table of one not-yet-accepted logical message.
@@ -83,9 +84,8 @@ type heldCopy struct {
 // NewInbox creates an inbox; lookup resolves known compositions.
 func NewInbox(lookup func(Key) (Composition, bool)) *Inbox {
 	return &Inbox{
-		lookup:  lookup,
-		entries: make(map[entryKey]entry),
-		byKey:   make(map[Key]map[crypto.Digest]bool),
+		lookup: lookup,
+		bySrc:  make(map[Key]map[crypto.Digest]entry),
 	}
 }
 
@@ -99,34 +99,38 @@ func NewInbox(lookup func(Key) (Composition, bool)) *Inbox {
 // non-zero and disagrees. A digest-only copy votes for its claimed digest.
 // Copies of an accepted message return at once.
 func (ib *Inbox) Observe(now time.Duration, from ids.NodeID, msg GroupMsg) (Accepted, bool) {
-	ek := entryKey{src: Key{GroupID: msg.SrcGroup, Epoch: msg.SrcEpoch}, msgID: msg.MsgID}
-	ent, exists := ib.entries[ek]
-	if exists && ent.live == nil {
+	src := Key{GroupID: msg.SrcGroup, Epoch: msg.SrcEpoch}
+	entries := ib.bySrc[src]
+	ent, exists := entries[msg.MsgID]
+	if exists && ent.live == 0 {
 		return Accepted{}, false // straggler to an accepted message
+	}
+	var v *votes
+	if exists {
+		v = &ib.slab[ent.live-1]
 	}
 	digest := msg.PayloadDigest
 	if msg.Payload != nil {
-		d := ent.live.digestOf(msg.Payload)
+		d := v.digestOf(msg.Payload)
 		if !digest.IsZero() && d != digest {
 			return Accepted{}, false // inconsistent copy; drop the vote entirely
 		}
 		digest = d
 	}
 	if !exists {
-		set := ib.byKey[ek.src]
-		if len(set) >= maxEntriesPerKey {
+		if len(entries) >= maxEntriesPerKey {
 			return Accepted{}, false
 		}
-		if set == nil {
-			set = make(map[crypto.Digest]bool)
-			ib.byKey[ek.src] = set
+		if entries == nil {
+			entries = make(map[crypto.Digest]entry)
+			ib.bySrc[src] = entries
 		}
-		set[ek.msgID] = true
 		ent = entry{firstAt: now, live: ib.newVotes(msg.Kind)}
-		ib.entries[ek] = ent
+		entries[msg.MsgID] = ent
+		v = &ib.slab[ent.live-1]
 	}
-	ent.live.add(from, digest, msg.Payload, msg.Attach)
-	return ib.check(now, ek, ent)
+	v.add(from, digest, msg.Payload, msg.Attach)
+	return ib.check(now, src, msg.MsgID, entries, ent)
 }
 
 // digestOf returns the digest of a full copy's bytes. A held payload's
@@ -174,15 +178,16 @@ func (v *votes) held(d crypto.Digest) []byte {
 	return nil
 }
 
-// check evaluates the acceptance rule for one live entry: some digest needs
-// the votes of a majority of the source composition and a held payload. At
-// most one digest can reach a majority, since each sender votes once.
-func (ib *Inbox) check(now time.Duration, ek entryKey, ent entry) (Accepted, bool) {
-	comp, known := ib.lookup(ek.src)
+// check evaluates the acceptance rule for one live entry of src's map
+// entries: some digest needs the votes of a majority of the source
+// composition and a held payload. At most one digest can reach a majority,
+// since each sender votes once.
+func (ib *Inbox) check(now time.Duration, src Key, msgID crypto.Digest, entries map[crypto.Digest]entry, ent entry) (Accepted, bool) {
+	comp, known := ib.lookup(src)
 	if !known {
 		return Accepted{}, false
 	}
-	v := ent.live
+	v := &ib.slab[ent.live-1]
 	for _, h := range v.payloads {
 		count := 0
 		for _, vt := range v.votes {
@@ -202,49 +207,55 @@ func (ib *Inbox) check(now time.Duration, ek entryKey, ent entry) (Accepted, boo
 				attachments[vt.from] = vt.attach
 			}
 		}
-		acc := Accepted{Src: ek.src, Kind: v.kind, MsgID: ek.msgID,
+		acc := Accepted{Src: src, Kind: v.kind, MsgID: msgID,
 			Payload: h.payload, Attachments: attachments, At: now}
-		ib.entries[ek] = entry{firstAt: ent.firstAt} // tombstone
-		ib.recycle(v)
+		entries[msgID] = entry{firstAt: ent.firstAt} // tombstone
+		ib.release(ent.live)
 		return acc, true
 	}
 	return Accepted{}, false
 }
 
-// newVotes returns an empty vote table, recycled when one is free.
-func (ib *Inbox) newVotes(kind Kind) *votes {
+// newVotes returns 1 + the slab index of an empty vote table, reusing a
+// freed slot when there is one.
+func (ib *Inbox) newVotes(kind Kind) int32 {
 	if n := len(ib.free); n > 0 {
-		v := ib.free[n-1]
+		i := ib.free[n-1]
 		ib.free = ib.free[:n-1]
-		v.kind = kind
-		return v
+		ib.slab[i].kind = kind
+		return i + 1
 	}
-	return &votes{kind: kind}
+	ib.slab = append(ib.slab, votes{kind: kind})
+	return int32(len(ib.slab))
 }
 
-// recycle clears a vote table — dropping its references to payloads and
-// attachments — and keeps it for reuse unless the free list is full or the
-// table grew unusually large.
-func (ib *Inbox) recycle(v *votes) {
+// release clears the vote table of a live entry — dropping its references
+// to payloads and attachments — and frees its slot. Slices that grew
+// unusually large are dropped rather than kept for reuse.
+func (ib *Inbox) release(live int32) {
+	v := &ib.slab[live-1]
 	clear(v.votes)
 	clear(v.payloads)
 	v.votes, v.payloads = v.votes[:0], v.payloads[:0]
-	if len(ib.free) < maxFreeEntries && cap(v.votes) <= maxRecycledVotes && cap(v.payloads) <= maxRecycledPayloads {
-		ib.free = append(ib.free, v)
+	if cap(v.votes) > maxRecycledVotes {
+		v.votes = nil
 	}
+	if cap(v.payloads) > maxRecycledPayloads {
+		v.payloads = nil
+	}
+	ib.free = append(ib.free, live-1)
 }
 
 // FlushKey re-evaluates buffered entries for a source composition that just
 // became known, returning all newly accepted messages.
 func (ib *Inbox) FlushKey(now time.Duration, src Key) []Accepted {
 	var out []Accepted
-	for msgID := range ib.byKey[src] {
-		ek := entryKey{src: src, msgID: msgID}
-		ent, ok := ib.entries[ek]
-		if !ok || ent.live == nil {
+	entries := ib.bySrc[src]
+	for msgID, ent := range entries {
+		if ent.live == 0 {
 			continue
 		}
-		if acc, ok := ib.check(now, ek, ent); ok {
+		if acc, ok := ib.check(now, src, msgID, entries, ent); ok {
 			out = append(out, acc)
 		}
 	}
@@ -253,24 +264,50 @@ func (ib *Inbox) FlushKey(now time.Duration, src Key) []Accepted {
 
 // Prune drops entries first observed before the deadline. Accepted entries
 // are retained as tombstones until pruned, which suppresses duplicate
-// deliveries from stragglers in the meantime.
+// deliveries from stragglers in the meantime. Once most of the slab is
+// free — a flood grew it, and its entries are gone — Prune compacts it.
 func (ib *Inbox) Prune(before time.Duration) {
-	for ek, ent := range ib.entries {
-		if ent.firstAt < before {
-			delete(ib.entries, ek)
-			if ent.live != nil {
-				ib.recycle(ent.live)
-			}
-			if set, ok := ib.byKey[ek.src]; ok {
-				delete(set, ek.msgID)
-				if len(set) == 0 {
-					delete(ib.byKey, ek.src)
+	for src, entries := range ib.bySrc {
+		for msgID, ent := range entries {
+			if ent.firstAt < before {
+				delete(entries, msgID)
+				if ent.live != 0 {
+					ib.release(ent.live)
 				}
 			}
 		}
+		if len(entries) == 0 {
+			delete(ib.bySrc, src)
+		}
 	}
+	if len(ib.slab) > minSlabShrink && 2*len(ib.free) > len(ib.slab) {
+		ib.compact()
+	}
+}
+
+// compact moves the live vote tables into a slab of exactly their number
+// and renumbers their entries.
+func (ib *Inbox) compact() {
+	slab := make([]votes, 0, len(ib.slab)-len(ib.free))
+	for _, entries := range ib.bySrc {
+		for msgID, ent := range entries {
+			if ent.live == 0 {
+				continue
+			}
+			slab = append(slab, ib.slab[ent.live-1])
+			ent.live = int32(len(slab))
+			entries[msgID] = ent
+		}
+	}
+	ib.slab, ib.free = slab, nil
 }
 
 // Len returns the number of entries, tombstones included (for tests and
 // metrics).
-func (ib *Inbox) Len() int { return len(ib.entries) }
+func (ib *Inbox) Len() int {
+	n := 0
+	for _, entries := range ib.bySrc {
+		n += len(entries)
+	}
+	return n
+}

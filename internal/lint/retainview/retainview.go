@@ -15,8 +15,8 @@
 // stays a view through renames, slicing, and composite-literal wrapping;
 // any other call boundary — append, copy, string conversion, hashing —
 // copies the bytes and launders the taint. Stores into function-local
-// structures are not flagged: the local decode-state idiom
-// (batchDecodeState, arena sub-slices) is the contract's intended use.
+// structures are not flagged: a decoder's local item and arena slices are
+// the contract's intended use.
 package retainview
 
 import (
