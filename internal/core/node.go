@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"time"
 
 	"atum/internal/actor"
@@ -738,15 +740,30 @@ func (n *Node) makeReplica() {
 		}
 		rep.Receive(pm.from, pm.msg)
 	}
-	// Re-propose everything of ours that has not been applied yet.
-	// Buffered pre-birth slots finalize at the next round tick, in the
-	// same deterministic (round, member) order the in-time members used.
-	for _, op := range n.ownPend {
+	// Re-propose everything of ours that has not been applied yet, in
+	// digest order so same-seed runs propose identically. Buffered
+	// pre-birth slots finalize at the next round tick, in the same
+	// deterministic (round, member) order the in-time members used.
+	for _, dig := range sortedDigests(n.ownPend) {
 		if stale() {
 			return
 		}
-		rep.Propose(op)
+		if op, ok := n.ownPend[dig]; ok {
+			rep.Propose(op)
+		}
 	}
+}
+
+// sortedDigests returns m's keys in ascending byte order: protocol actions
+// driven by a map (proposals, sends) must not depend on Go's randomized
+// map iteration order, or same-seed runs diverge.
+func sortedDigests[V any](m map[crypto.Digest]V) []crypto.Digest {
+	keys := make([]crypto.Digest, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b crypto.Digest) int { return bytes.Compare(a[:], b[:]) })
+	return keys
 }
 
 func (n *Node) makeCommitFn(epoch uint64) smr.CommitFn {

@@ -226,8 +226,18 @@ func (n *Node) treeAnnounce(nbr group.Composition, d Delivery) {
 // replicated-state replacement, so announcements always depart stamped with
 // their enqueue-time composition.
 func (n *Node) flushTreeIHaves() {
-	for gid, p := range n.tree.pending {
-		n.flushTreePending(gid, p)
+	if len(n.tree.pending) == 0 {
+		return
+	}
+	gids := make([]ids.GroupID, 0, len(n.tree.pending))
+	for gid := range n.tree.pending {
+		gids = append(gids, gid)
+	}
+	slices.Sort(gids) // send order must not follow map order
+	for _, gid := range gids {
+		if p, ok := n.tree.pending[gid]; ok {
+			n.flushTreePending(gid, p)
+		}
 	}
 }
 

@@ -497,10 +497,11 @@ func (n *Node) findExpectedByWalk(id crypto.Digest) int {
 	return -1
 }
 
-// walkDeadlineTick proposes timeout ops for locally expired walks.
+// walkDeadlineTick proposes timeout ops for locally expired walks, in walk
+// ID order.
 func (n *Node) walkDeadlineTick(now time.Duration) {
-	for id, dl := range n.walkDeadlines {
-		if now > dl {
+	for _, id := range sortedDigests(n.walkDeadlines) {
+		if dl, ok := n.walkDeadlines[id]; ok && now > dl {
 			delete(n.walkDeadlines, id)
 			n.logf("proposing walk timeout %x", id[:4])
 			n.proposeOp(walkTimeoutOp{WalkID: id})
