@@ -83,9 +83,6 @@ type dataMsg struct {
 	Data []byte
 }
 
-// WireSize implements the bandwidth model's sizer.
-func (d dataMsg) WireSize() int { return 32 + len(d.Data) }
-
 // AStream's wire extension tags (docs/WIRE.md: astream owns 0x80–0x8F).
 // Append-only; never reorder or reuse. dataMsg rides SendRaw: the engine's
 // egress scheduler coalesces concurrent chunks per destination node into

@@ -34,13 +34,13 @@
 // cutting per-link message counts and framing bytes by roughly the number
 // of concurrent sends. Receivers unpack carriers and process every inner
 // message individually, so Deliver, Forward, and OnRawMessage semantics are
-// identical with batching on or off. The flush window is adaptive, derived
+// the same at every batch size. The flush window is adaptive, derived
 // per destination from the observed arrival rate: zero when idle (a lone
 // broadcast on a quiet system pays no batching latency), widening under
 // bursts up to a cap. Three Config knobs control the scheduler:
 //
 //   - GossipMaxBatch: items coalesced per destination (default 64;
-//     1 disables batching and restores one message per send per link)
+//     1 sends batches of one, still through the scheduler)
 //   - GossipMaxBatchBytes: byte budget that forces an early flush
 //     (default 256 KiB)
 //   - EgressMaxFlushWindow: the adaptive window's cap (default 5 ms;
@@ -217,10 +217,10 @@ type (
 const RawMessageTagMin = core.RawTagMin
 
 // RegisterRawMessage registers an application raw-message type under a wire
-// extension tag. Only registered types can be sent: SendRaw coalesces them
-// per destination on the egress scheduler (batch carriers instead of one
-// message per send), and byte-level transports frame them through the
-// deterministic wire codec. Tags are process-wide, append-only wire
+// extension tag. Only registered types can be sent: SendRaw frames them
+// through the deterministic wire codec and coalesces them per destination
+// on the egress scheduler (batch carriers instead of one message per
+// send). Tags are process-wide, append-only wire
 // contracts — see docs/WIRE.md for the assignments in use. Registration
 // panics on tag or type conflicts; re-registering the same pair is a no-op.
 func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *WireEncoder), unmarshal func(d *WireDecoder) any) {

@@ -2,7 +2,7 @@ package atum_test
 
 // System-level pin for the adaptive flush window's idle path: a single
 // broadcast on a quiet ModeAsync cluster must reach every member no later
-// than it would on the unbatched engine (GossipMaxBatch=1). The egress
+// than it would with batches of one (GossipMaxBatch=1). The egress
 // scheduler sends idle traffic at enqueue time — the zero-window fast path —
 // so batching must cost nothing when there is nothing to batch with.
 
@@ -94,16 +94,16 @@ func measureIdleLatency(t *testing.T, maxBatch int, seed int64) []time.Duration 
 
 func TestAsyncIdleLatencyNoWorseThanUnbatched(t *testing.T) {
 	batched := measureIdleLatency(t, 0, 3) // default: egress scheduler on
-	unbatched := measureIdleLatency(t, 1, 3)
+	one := measureIdleLatency(t, 1, 3)     // batches of one
 	// Tiny slack for event-order jitter; well under the 5ms window cap this
 	// test exists to keep off the idle path.
 	const slack = 500 * time.Microsecond
 	for i := range batched {
-		if batched[i] > unbatched[i]+slack {
-			t.Errorf("idle broadcast %d: batched %v > unbatched %v — the adaptive window added latency",
-				i, batched[i], unbatched[i])
+		if batched[i] > one[i]+slack {
+			t.Errorf("idle broadcast %d: batched %v > batches of one %v — the adaptive window added latency",
+				i, batched[i], one[i])
 		}
 	}
 	t.Logf("batched:   %v", batched)
-	t.Logf("unbatched: %v", unbatched)
+	t.Logf("batches of one: %v", one)
 }

@@ -302,10 +302,11 @@ func TestBatchUnwrapsSinglePayload(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneMatchesLegacyPath checks GossipMaxBatch=1 bypasses the
-// aggregator entirely: sends happen synchronously at forward time, exactly
-// like the pre-batching engine.
-func TestBatchSizeOneMatchesLegacyPath(t *testing.T) {
+// TestBatchSizeOneSendsBatchesOfOne checks GossipMaxBatch=1 means batches
+// of one: every gossip item still takes the egress scheduler, but each
+// leaves as its own plain group message at forward time, and nothing stays
+// queued.
+func TestBatchSizeOneSendsBatchesOfOne(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
 	nbr := testComp(9, 1, 4, 5, 6)

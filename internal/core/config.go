@@ -233,8 +233,9 @@ type Config struct {
 	// dissemination phase is the hot path under concurrent broadcasts; churn
 	// updates, walk traffic and raw-message floods share the same
 	// per-destination queues — see internal/egress). 0 selects the default
-	// (64); 1 disables batching entirely and reproduces the
-	// one-message-per-send behaviour exactly.
+	// (64); 1 sends batches of one: every item still takes the scheduler,
+	// so raw-message TTLs, priorities and queue limits apply, but no two
+	// items share a carrier.
 	GossipMaxBatch int
 	// GossipMaxBatchBytes caps the payload bytes of one egress batch; a
 	// destination whose pending payloads exceed it is flushed immediately.
@@ -281,18 +282,14 @@ type Config struct {
 	// batched payload every TreeIHaveEvery rounds. 0 selects the default
 	// (2).
 	TreeIHaveEvery int
-	// EgressGossipOnly restricts the egress scheduler to the gossip kind,
-	// sending walk, churn and raw traffic directly — the pre-egress
-	// behaviour, kept as the baseline for the `atum-bench -exp egress`
-	// comparison and ablation tests. Off in production.
-	EgressGossipOnly bool
 	// Behavior injects Byzantine behaviour for experiments.
 	Behavior Behavior
 	// DisableShuffle turns off post-reconfiguration shuffling (ablation).
 	DisableShuffle bool
-	// OnRawMessage, when set, receives node-level messages the engine does
-	// not recognize — the extension point applications (AShare chunk
-	// transfer, AStream tier-2 multicast) build their own protocols on.
+	// OnRawMessage, when set, receives the application raw messages other
+	// nodes send with SendRaw (types registered with RegisterRawMessage) —
+	// the extension point applications (AShare chunk transfer, AStream
+	// tier-2 multicast) build their own protocols on.
 	OnRawMessage func(from ids.NodeID, msg any)
 	// Callbacks connect the application.
 	Callbacks Callbacks

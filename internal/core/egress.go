@@ -104,29 +104,15 @@ func (n *Node) sendViaEgress(src, dst group.Composition, kind group.Kind, msgID 
 // flow-control options, and a gossip forward sets the item's payload digest
 // once for all of its links.
 func (n *Node) sendViaEgressWith(src, dst group.Composition, it group.BatchItem, class egress.Class, expires time.Duration) {
-	if n.cfg.EgressGossipOnly && it.Kind != kindGossip {
-		// Ablation/baseline: only the gossip kind rides the scheduler.
-		group.SendItem(n.sendGroupQuantized, n.env.Rand(), src, n.cfg.Identity.ID, dst, it)
-		return
-	}
 	n.egress.EnqueueGroupWith(src, dst, it, n.cfg.Mode == smr.ModeSync, class, expires)
 }
 
-// sendRawViaEgress queues one application raw message for a node. Only
-// wire-registered types are sendable. With batching off (GossipMaxBatch 1)
-// or under the gossip-only ablation, the message leaves at once as the raw
-// value, and the transport's codec frames it.
+// sendRawViaEgress queues one application raw message for a node as a
+// kindRaw item. Only wire-registered types are sendable.
 func (n *Node) sendRawViaEgress(to ids.NodeID, msg any, opts SendOpts) error {
-	if n.cfg.GossipMaxBatch <= 1 || n.cfg.EgressGossipOnly {
-		if !rawRegistered(msg) {
-			return ErrUnregisteredType
-		}
-		n.sendNow(to, msg)
-		return nil
-	}
-	payload, ok := encodeRawWire(msg)
-	if !ok {
-		return ErrUnregisteredType
+	payload, err := MarshalRaw(msg)
+	if err != nil {
+		return err
 	}
 	src := group.Composition{}
 	if n.st != nil {
@@ -138,10 +124,8 @@ func (n *Node) sendRawViaEgress(to ids.NodeID, msg any, opts SendOpts) error {
 	}
 	// MsgID is the payload digest by construction, so the v2 batch frame
 	// omits it (DerivedID) and the receiver re-derives it.
-	err := n.egress.EnqueueNodeWith(src, to,
-		group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true},
-		egress.Class(opts.Priority), expires)
-	if err != nil {
+	it := group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(payload), Payload: payload, DerivedID: true}
+	if n.egress.EnqueueNodeWith(src, to, it, egress.Class(opts.Priority), expires) != nil {
 		return ErrEgressOverflow
 	}
 	return nil
@@ -204,7 +188,8 @@ func batchMsgID(src group.Composition, dst ids.GroupID, self ids.NodeID, seq uin
 // sender. Votable kinds go through the inbox — dedup, delivery, and
 // re-forwarding then follow the ordinary per-message path, so Forward-
 // callback and agreement semantics hold per inner item, not per batch. Raw
-// items go straight to the application hook, exactly like a direct SendRaw.
+// items go straight to the application hook, exactly like a standalone
+// kindRaw message.
 //
 // The node's BatchReader decodes carrier after carrier into the same
 // buffers. It is taken out of the node for the duration of the call: an
@@ -250,7 +235,8 @@ func (n *Node) handleBatchItem(from ids.NodeID, im group.GroupMsg) {
 }
 
 // handleRawItem decodes one extension-framed application raw message and
-// hands it to the OnRawMessage hook. Only extension-tag frames are
+// hands it to the OnRawMessage hook; it is the only way a raw message
+// reaches the application. Only extension-tag frames are
 // accepted: a hostile peer must not be able to push engine-internal
 // payload types (snapshots, nested SMR envelopes) into an application
 // hook — or buy decode work on them — through the raw path.

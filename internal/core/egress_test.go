@@ -42,38 +42,41 @@ func registerEgressTestMsg() {
 }
 
 // TestRawExtensionRoundTrip pins the extension-tag frame format: registered
-// types round-trip through the envelope codec, unregistered tags fail.
+// types round-trip through MarshalRaw/UnmarshalRaw, unregistered tags fail,
+// and the engine's transport codec rejects a top-level extension frame in
+// both directions — raw messages travel only inside kindRaw items.
 func TestRawExtensionRoundTrip(t *testing.T) {
 	registerEgressTestMsg()
 	msg := egressTestMsg{Seq: 42, Body: []byte("tier-2")}
-	b, ok := encodeRawWire(msg)
-	if !ok {
-		t.Fatal("registered raw type not encodable")
+	b, err := MarshalRaw(msg)
+	if err != nil {
+		t.Fatalf("registered raw type not encodable: %v", err)
 	}
 	if b[0] != wireEnvMagic || b[1] != 0xF0 || b[2] != wireEnvV1 {
 		t.Fatalf("extension frame header = % x", b[:3])
 	}
-	v, err := decodePayload(b)
+	v, err := UnmarshalRaw(b)
 	if err != nil {
 		t.Fatalf("decode extension frame: %v", err)
 	}
 	if !reflect.DeepEqual(v, msg) {
 		t.Fatalf("round trip mismatch: %+v != %+v", v, msg)
 	}
-	// MessageCodec (the TCP transport codec) must cover it too, so this
-	// traffic can be framed on TCP.
-	if _, ok := (MessageCodec{}).EncodeMessage(msg); !ok {
-		t.Fatal("registered raw type not covered by MessageCodec")
+	if _, ok := (MessageCodec{}).EncodeMessage(msg); ok {
+		t.Fatal("MessageCodec encoded an application raw message at the top level")
+	}
+	if v, err := (MessageCodec{}).DecodeMessage(b); err == nil {
+		t.Fatalf("MessageCodec decoded a top-level extension frame as %T", v)
 	}
 	// Unregistered extension tags are rejected, not crashed on.
 	bad := append([]byte(nil), b...)
 	bad[1] = 0xEF
-	if _, err := decodePayload(bad); err == nil {
+	if _, err := UnmarshalRaw(bad); err == nil {
 		t.Fatal("unregistered extension tag accepted")
 	}
 	// Unregistered types are not wire-codable (SendRaw rejects them).
 	type unregistered struct{ X int }
-	if _, ok := encodeRawWire(unregistered{}); ok {
+	if _, err := MarshalRaw(unregistered{}); err == nil {
 		t.Fatal("unregistered type claimed wire-codable")
 	}
 }
@@ -97,9 +100,9 @@ func TestBatchCarriesThreeKinds(t *testing.T) {
 		walkMsgID(crypto.Hash([]byte("w")), 0, nbr.GroupID),
 		n.encPayload(walkPayload{WalkID: crypto.Hash([]byte("w")), Purpose: PurposeJoin,
 			StepsLeft: 1, Rands: []uint64{1, 2}, Origin: comp.Clone()}))
-	rawFrame, ok := encodeRawWire(egressTestMsg{Seq: 7, Body: []byte("raw")})
-	if !ok {
-		t.Fatal("raw frame")
+	rawFrame, err := MarshalRaw(egressTestMsg{Seq: 7, Body: []byte("raw")})
+	if err != nil {
+		t.Fatal(err)
 	}
 	n.egress.EnqueueGroup(comp, nbr,
 		group.BatchItem{Kind: kindRaw, MsgID: crypto.Hash(rawFrame), Payload: rawFrame}, true)
@@ -319,7 +322,7 @@ func TestEgressFlushesBeforeMergeDissolve(t *testing.T) {
 // TestAsyncIdleBroadcastBypassesWindow pins the adaptive window's idle path
 // in the asynchronous engine: the first gossip forward to a quiet neighbor
 // transmits at enqueue time — no queueing, no timer, no added latency
-// relative to the unbatched engine.
+// relative to sending each item on its own.
 func TestAsyncIdleBroadcastBypassesWindow(t *testing.T) {
 	self := ids.NodeID(1)
 	comp := testComp(7, 3, 1, 2, 3)
@@ -449,7 +452,7 @@ func TestRawItemRejectsEngineFrames(t *testing.T) {
 	}
 
 	registerEgressTestMsg()
-	extFrame, _ := encodeRawWire(egressTestMsg{Seq: 1})
+	extFrame, _ := MarshalRaw(egressTestMsg{Seq: 1})
 	n.handleRawItem(1, extFrame)
 	if len(got) != 1 {
 		t.Fatal("extension frame did not reach OnRawMessage")

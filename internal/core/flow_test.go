@@ -41,9 +41,10 @@ func TestSendRawNotRunningTyped(t *testing.T) {
 type unregisteredRawMsg struct{ X int }
 
 // TestSendRawUnregisteredType: sending a type that has no wire codec fails
-// with ErrUnregisteredType on both the batched and the unbatched
-// (GossipMaxBatch=1) paths, and nothing reaches the receiver; registered
-// types still send.
+// with ErrUnregisteredType at the default batch size and with batches of
+// one (GossipMaxBatch=1), and nothing reaches the receiver; registered
+// types still send. Both sizes share one egress path, so a raw send that
+// outlives its TTL in the queue is dropped and counted in either.
 func TestSendRawUnregisteredType(t *testing.T) {
 	registerEgressTestMsg()
 	for _, maxBatch := range []int{0, 1} {
@@ -64,6 +65,29 @@ func TestSendRawUnregisteredType(t *testing.T) {
 			}
 			if err := nodes[0].SendRawWith(to, egressTestMsg{Seq: 1}, SendOpts{}); err != nil {
 				t.Fatalf("registered type returned %v", err)
+			}
+			h.net.Run(h.net.Now() + time.Second)
+			if len(got) != 1 {
+				t.Fatalf("registered type delivered %d times, want 1", len(got))
+			}
+
+			// A same-instant burst: the first send leaves at once, the
+			// rest wait for the paced drain, longer than their TTL.
+			before := nodes[0].EgressStats().DroppedExpired
+			const burst = 4
+			for i := 0; i < burst; i++ {
+				err := nodes[0].SendRawWith(to, egressTestMsg{Seq: uint64(10 + i)}, SendOpts{TTL: time.Microsecond})
+				if err != nil {
+					t.Fatalf("TTL send %d returned %v", i, err)
+				}
+			}
+			h.net.Run(h.net.Now() + time.Second)
+			dropped := nodes[0].EgressStats().DroppedExpired - before
+			if dropped == 0 {
+				t.Fatal("no expired raw send was dropped")
+			}
+			if delivered := uint64(len(got) - 1); delivered+dropped != burst {
+				t.Fatalf("burst of %d: %d delivered + %d dropped as expired", burst, delivered, dropped)
 			}
 		})
 	}

@@ -100,9 +100,9 @@ func TestLegacyV1BatchCarrierIgnored(t *testing.T) {
 	var got []any
 	n.cfg.OnRawMessage = func(_ ids.NodeID, msg any) { got = append(got, msg) }
 
-	extFrame, ok := encodeRawWire(egressTestMsg{Seq: 1, Body: []byte("chunk")})
-	if !ok {
-		t.Fatal("egressTestMsg not wire-codable")
+	extFrame, err := MarshalRaw(egressTestMsg{Seq: 1, Body: []byte("chunk")})
+	if err != nil {
+		t.Fatal(err)
 	}
 	items := []group.BatchItem{{
 		Kind:      kindRaw,

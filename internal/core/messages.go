@@ -120,7 +120,8 @@ const (
 	// kindRaw carries one wire-extension-framed application raw message
 	// (RegisterRawMessage), either standalone or inside a kindBatch carrier.
 	// Raw items are link-authenticated only: they bypass the inbox and go
-	// straight to OnRawMessage, exactly like a direct SendRaw.
+	// straight to OnRawMessage. Every SendRaw travels as a kindRaw item;
+	// the engine sends no other form of raw message.
 	kindRaw
 	// Dissemination-tree advisory kinds (tree.go). Like kindRaw they are
 	// link-authenticated only and bypass the inbox: tree link state is

@@ -309,10 +309,6 @@ func (n *Node) Receive(from ids.NodeID, msg actor.Message) {
 	case group.GroupMsg:
 		n.maybeRefreshSender(m)
 		n.routeGroupMsg(from, m)
-	default:
-		if n.cfg.OnRawMessage != nil {
-			n.cfg.OnRawMessage(from, msg)
-		}
 	}
 }
 
@@ -358,9 +354,8 @@ func (n *Node) routeGroupMsg(from ids.NodeID, m group.GroupMsg) {
 // receiver's OnRawMessage hook gets it. Applications layer their own
 // protocols (file chunks, stream data) on this. The message's type must be
 // registered in the wire extension-tag range (RegisterRawMessage): it rides
-// the egress scheduler, so concurrent sends to the same node coalesce into
-// batch carriers, and byte-level transports frame it through the wire
-// codec.
+// the egress scheduler as a kindRaw item, so concurrent sends to the same
+// node coalesce into batch carriers.
 //
 // SendRawWith reports failures instead of silently dropping: ErrNotRunning
 // when the node is not attached to a running runtime, ErrEgressOverflow
@@ -382,12 +377,6 @@ func (n *Node) SendRawWith(to ids.NodeID, msg any, opts SendOpts) error {
 // SetBehavior switches the node's behaviour (experiment fault injection;
 // Byzantine behaviours activate once the node is a vgroup member).
 func (n *Node) SetBehavior(b Behavior) { n.cfg.Behavior = b }
-
-// SetEgressGossipOnly toggles the egress-scheduler ablation at runtime. The
-// experiment harness uses it so the batched and baseline measurements share
-// one identical growth history (toggling config before growth would fork
-// the RNG consumption and hence the overlay topology under comparison).
-func (n *Node) SetEgressGossipOnly(v bool) { n.cfg.EgressGossipOnly = v }
 
 // Now returns the node's clock (virtual in simulation).
 func (n *Node) Now() time.Duration {

@@ -3,9 +3,11 @@ package core
 // The wire envelope's application extension-tag range. Kind tags 0x80–0xFF
 // of the payload envelope (docs/WIRE.md) are reserved for application
 // raw-message types: applications register a per-type codec here, and only
-// registered types can be sent with SendRaw — byte-level transports frame
-// them through the deterministic wire envelope, and the egress scheduler
-// folds them into batch carriers alongside engine kinds. MarshalRaw and
+// registered types can be sent with SendRaw. SendRaw frames the message
+// through the deterministic wire envelope and queues it as a kindRaw item,
+// which the egress scheduler folds into batch carriers alongside engine
+// kinds; the engine's transport codec never sees an extension-tag frame at
+// the top level. MarshalRaw and
 // UnmarshalRaw expose the same framing for application-owned bytes such as
 // broadcast payloads. Tags are append-only per application, exactly like
 // the engine's own kind tags; the assignments in use are documented in
@@ -75,24 +77,19 @@ func RegisterRawMessage(tag byte, prototype any, marshal func(v any, e *wire.Enc
 	rawReg.byType[typ] = c
 }
 
-// rawRegistered reports whether v's concrete type has a wire extension
-// codec (the ErrUnregisteredType check on paths that bypass encoding).
-func rawRegistered(v any) bool {
-	rawReg.RLock()
-	_, ok := rawReg.byType[reflect.TypeOf(v)]
-	rawReg.RUnlock()
-	return ok
-}
+// errNotRawFrame rejects bytes that are not an extension-tag frame.
+var errNotRawFrame = errors.New("core: not an extension-tag wire frame")
 
-// encodeRawWire frames a registered application raw message as a complete
-// wire-envelope frame ([magic][ext tag][version][body]); false when the
-// type is unregistered.
-func encodeRawWire(v any) ([]byte, bool) {
+// MarshalRaw frames a registered application raw message as a complete
+// wire-envelope frame ([magic][ext tag][version][body]), the payload of the
+// kindRaw item SendRaw queues. Unregistered types return
+// ErrUnregisteredType.
+func MarshalRaw(v any) ([]byte, error) {
 	rawReg.RLock()
 	c, ok := rawReg.byType[reflect.TypeOf(v)]
 	rawReg.RUnlock()
 	if !ok {
-		return nil, false
+		return nil, ErrUnregisteredType
 	}
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
@@ -100,37 +97,7 @@ func encodeRawWire(v any) ([]byte, bool) {
 	e.Byte(c.tag)
 	e.Byte(wireEnvV1)
 	c.marshal(v, e)
-	return e.Detach(), true
-}
-
-// decodeRawWire reverses encodeRawWire for one extension tag; the envelope
-// header has already been consumed by the caller.
-func decodeRawWire(tag byte, d *wire.Decoder) (any, error) {
-	rawReg.RLock()
-	c, ok := rawReg.byTag[tag]
-	rawReg.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unregistered raw message tag %#x", tag)
-	}
-	v := c.unmarshal(d)
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("core: decode raw message tag %#x: %w", tag, err)
-	}
-	return v, nil
-}
-
-// errNotRawFrame rejects bytes that are not an extension-tag frame.
-var errNotRawFrame = errors.New("core: not an extension-tag wire frame")
-
-// MarshalRaw frames a registered application raw message as a complete
-// wire-envelope frame ([magic][ext tag][version][body]), the bytes SendRaw
-// puts on the wire. Unregistered types return ErrUnregisteredType.
-func MarshalRaw(v any) ([]byte, error) {
-	b, ok := encodeRawWire(v)
-	if !ok {
-		return nil, ErrUnregisteredType
-	}
-	return b, nil
+	return e.Detach(), nil
 }
 
 // UnmarshalRaw reverses MarshalRaw. Only extension-tag frames decode: a
@@ -142,8 +109,20 @@ func UnmarshalRaw(b []byte) (any, error) {
 	if len(b) < 3 || b[0] != wireEnvMagic || b[1] < RawTagMin {
 		return nil, errNotRawFrame
 	}
+	tag := b[1]
 	if b[2] != wireEnvV1 {
-		return nil, fmt.Errorf("core: raw message tag %#x: unsupported version %d", b[1], b[2])
+		return nil, fmt.Errorf("core: raw message tag %#x: unsupported version %d", tag, b[2])
 	}
-	return decodeRawWire(b[1], wire.NewDecoder(b[3:]))
+	rawReg.RLock()
+	c, ok := rawReg.byTag[tag]
+	rawReg.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("core: unregistered raw message tag %#x", tag)
+	}
+	d := wire.NewDecoder(b[3:])
+	v := c.unmarshal(d)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("core: decode raw message tag %#x: %w", tag, err)
+	}
+	return v, nil
 }

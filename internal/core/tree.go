@@ -166,7 +166,8 @@ func (n *Node) FaultBound(groupSize int) int { return n.cfg.Mode.F(groupSize) }
 
 // SetTreeGossip toggles the dissemination tree at runtime. The experiment
 // harness uses it so the tree and flood measurements share one identical
-// growth history (same rationale as SetEgressGossipOnly). Disabling flushes
+// growth history (a config difference during growth would fork the RNG
+// history and hence the overlay under comparison). Disabling flushes
 // pending announcements first — broadcasts already withheld from a lazy
 // link would otherwise lose their IHAVE and never reach it from this
 // member — and resets link state so a later re-enable starts from the

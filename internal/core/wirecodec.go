@@ -98,7 +98,8 @@ const (
 )
 
 // encodeWire returns the tagged, versioned wire frame for v, or false when
-// the type is not wire-codable (an unregistered application type). Frames build in pooled
+// v is not an engine message (application raw messages are framed by
+// MarshalRaw and travel inside kindRaw items). Frames build in pooled
 // scratch and detach as one exact-size allocation — envelope encoding is the
 // per-payload hot path, and throwaway encoders paid append-growth garbage
 // on every message.
@@ -218,9 +219,7 @@ func encodeWire(v any) ([]byte, bool) {
 	case prunePayload:
 		p.MarshalWire(hdr(wkPrune))
 	default:
-		// Application raw-message types registered in the extension-tag
-		// range (rawext.go) are wire-codable too.
-		return encodeRawWire(v)
+		return nil, false
 	}
 	return e.Detach(), true
 }
@@ -444,9 +443,6 @@ func decodeWireDepth(b []byte, depth int) (any, error) {
 		p.UnmarshalWire(d)
 		v = p
 	default:
-		if kind >= RawTagMin {
-			return decodeRawWire(kind, d)
-		}
 		return nil, fmt.Errorf("core: unknown wire envelope kind %d", kind)
 	}
 	if err := d.Finish(); err != nil {
@@ -456,10 +452,11 @@ func decodeWireDepth(b []byte, depth int) (any, error) {
 }
 
 // MessageCodec adapts the engine's wire envelope to byte-level transports
-// (it implements tcpnet.Options.Codec). EncodeMessage covers the engine's
-// message set plus every application raw-message type registered in the
-// extension-tag range; it reports false only for unregistered types, which
-// the transport then drops (tcpnet counts them in Stats.DroppedCodec).
+// (it implements tcpnet.Options.Codec). It covers exactly the engine's
+// message set: application raw messages reach the transport inside kindRaw
+// group messages, so a top-level extension-tag frame is rejected in both
+// directions. EncodeMessage reports false for any other type, which the
+// transport then drops (tcpnet counts them in Stats.DroppedCodec).
 type MessageCodec struct{}
 
 // EncodeMessage encodes one engine message as a wire-envelope frame.

@@ -228,7 +228,8 @@ func TestNodeDestinations(t *testing.T) {
 	}
 }
 
-// TestMaxBatchOneNeverQueues: the legacy unbatched path.
+// TestMaxBatchOneNeverQueues: with batches of one, an unbounded queue
+// transmits every item as it arrives, deferred queues included.
 func TestMaxBatchOneNeverQueues(t *testing.T) {
 	h := newHarness(1, 5*time.Millisecond)
 	src, dst := comp(1, 1), comp(2, 1)

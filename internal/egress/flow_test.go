@@ -275,6 +275,40 @@ func TestSnapshotReportsDestState(t *testing.T) {
 	}
 }
 
+// TestMaxBatchOnePacesAndExpires: MaxBatch=1 is batches of one on the
+// ordinary queue, not a bypass — a flow-controlled node queue still paces
+// its drain to one carrier per window, and an item that outlives its expiry
+// while waiting is dropped and counted, never transmitted.
+func TestMaxBatchOnePacesAndExpires(t *testing.T) {
+	fh := newFlowHarness(1, 8, 5*time.Millisecond)
+	src, to := comp(1, 1), ids.NodeID(9)
+	expires := fh.now + time.Millisecond
+	for k := 0; k < 3; k++ {
+		if err := fh.s.EnqueueNodeWith(src, to, item(byte(k)), ClassBulk, expires); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Item 0 is the idle immediate send, item 1 the first paced carrier;
+	// item 2 waits for the next pace slot.
+	if len(fh.flushes) != 2 || len(fh.flushes[0].items) != 1 || len(fh.flushes[1].items) != 1 {
+		t.Fatalf("flushes = %+v, want two carriers of one item", fh.flushes)
+	}
+	if d, items := fh.s.Pending(); d != 1 || items != 1 {
+		t.Fatalf("pending = %d/%d, want item 2 queued behind the pace", d, items)
+	}
+	fh.now += 5 * time.Millisecond
+	fh.s.OnTimer()
+	if len(fh.flushes) != 2 {
+		t.Fatalf("expired item transmitted: %+v", fh.flushes[2:])
+	}
+	if st := fh.s.Stats(); st.DroppedExpired != 1 {
+		t.Fatalf("DroppedExpired = %d, want 1", st.DroppedExpired)
+	}
+	if d, _ := fh.s.Pending(); d != 0 {
+		t.Fatal("expired item left pending state")
+	}
+}
+
 // TestFlowControlDisabledKeepsLegacyBehavior: Limit <= 0 restores the PR-4
 // node-queue behavior exactly — full batches flush immediately, depth never
 // exceeds one batch, no pressure transitions, no rejections.

@@ -17,9 +17,6 @@ type expChunk struct {
 	Data []byte
 }
 
-// WireSize implements the bandwidth model's sizer.
-func (c expChunk) WireSize() int { return 40 + len(c.Data) }
-
 const rawTagExpChunk = 0xA0
 
 func init() {
@@ -47,6 +44,9 @@ type EgressTraffic struct {
 	LinkMsgsPerBcast float64
 	BytesPerBcast    float64
 	Delivered        float64 // fraction over stable members
+	// Net is the simulator's counter diff over the measured window; two
+	// runs with the same arguments must produce identical diffs.
+	Net simnet.Stats
 }
 
 // linkMsgs counts overlay-link messages in a counter diff: everything except
@@ -67,36 +67,19 @@ func linkMsgs(d simnet.Stats) int64 {
 }
 
 // EgressRun measures dissemination cost under a churn storm with concurrent
-// publishers and tier-2-style raw floods — the scenario the unified egress
-// scheduler exists for. Per round, every publisher broadcasts one payload
-// AND pushes chunksPerRound raw chunks to each member of its vgroup, while
-// fresh nodes join and existing ones leave (driving walk, neighbor-update,
-// and set-neighbor traffic). gossipOnly toggles the runtime ablation
-// (Node.SetEgressGossipOnly) — the PR-2 baseline, where only the gossip
-// kind batches and walk/churn/raw traffic is one message per send per link.
-// The toggle flips AFTER growth so both configurations measure the same
-// overlay topology (config differences during growth would fork the RNG
-// history and hence the structure under comparison).
+// publishers and tier-2-style raw floods — the scenario the egress scheduler
+// exists for. Per round, every publisher broadcasts one payload AND every
+// stable member pushes chunksPerRound raw chunks to each member of its
+// vgroup, while fresh nodes join and existing ones leave (driving walk,
+// neighbor-update, and set-neighbor traffic). maxBatch is every node's
+// Config.GossipMaxBatch: 0 selects the default (64), 1 sends batches of
+// one. It is fixed from the first node on, so each configuration grows its
+// own overlay from the same seed.
 //
 // Delivery is measured over stable members (nodes that are members before
 // the first broadcast and still members after the drain); churners join and
 // leave mid-dissemination by design.
-func EgressRun(n, publishers, rounds int, gossipOnly bool, seed int64) (EgressTraffic, error) {
-	return egressScenario(n, publishers, rounds, gossipOnly, seed)
-}
-
-// FramesRun measures the same scenario with the unified scheduler on: the
-// v2-frame wire-bytes reference behind `atum-bench -exp frames`. (It was
-// the v1-vs-v2 comparison while both writers existed; the v1 writer is
-// gone, so the run now documents the absolute cost of the current frames.)
-func FramesRun(n, publishers, rounds int, seed int64) (EgressTraffic, error) {
-	return egressScenario(n, publishers, rounds, false, seed)
-}
-
-// egressScenario drives the churn-storm + multi-publisher + raw-flood
-// scenario under one gossipOnly configuration. The toggle flips AFTER
-// growth so every configuration measures the same overlay topology.
-func egressScenario(n, publishers, rounds int, gossipOnly bool, seed int64) (EgressTraffic, error) {
+func EgressRun(n, publishers, rounds, maxBatch int, seed int64) (EgressTraffic, error) {
 	const (
 		// chunksPerRound models AStream tier-2 data pushes. Tier-2 is a
 		// flood: EVERY node re-pushes each chunk to its vgroup and neighbor
@@ -113,15 +96,12 @@ func egressScenario(n, publishers, rounds int, gossipOnly bool, seed int64) (Egr
 		cfg.DisableShuffle = true
 		cfg.HeartbeatEvery = time.Hour // isolate protocol traffic
 		cfg.EvictAfter = 10 * time.Hour
+		cfg.GossipMaxBatch = maxBatch
 	})
 	if err := cl.grow(n, time.Minute); err != nil {
 		return EgressTraffic{}, fmt.Errorf("growth to %d nodes failed: %w", n, err)
 	}
 	cl.c.Run(5 * time.Second) // settle
-	// Identical growth history for every configuration; diverge only now.
-	for _, node := range cl.nodes {
-		node.Inner().SetEgressGossipOnly(gossipOnly)
-	}
 
 	var pubs, stable []*atum.Node
 	for _, node := range cl.nodes {
@@ -160,7 +140,6 @@ func egressScenario(n, publishers, rounds int, gossipOnly bool, seed int64) (Egr
 			_ = leavers[r].Leave()
 		}
 		fresh := cl.addNode()
-		fresh.Inner().SetEgressGossipOnly(gossipOnly)
 		_ = fresh.Join(contact)
 		for i, p := range pubs {
 			payload := fmt.Sprintf("egress-%d-%d-%s", r, i, randTextSeeded(seed, 40))
@@ -202,7 +181,7 @@ func egressScenario(n, publishers, rounds int, gossipOnly bool, seed int64) (Egr
 			}
 		}
 	}
-	out := EgressTraffic{Broadcasts: len(payloads)}
+	out := EgressTraffic{Broadcasts: len(payloads), Net: diff}
 	if len(payloads) > 0 {
 		out.MsgsPerBcast = float64(diff.Sent) / float64(len(payloads))
 		out.LinkMsgsPerBcast = float64(linkMsgs(diff)) / float64(len(payloads))
@@ -214,47 +193,58 @@ func egressScenario(n, publishers, rounds int, gossipOnly bool, seed int64) (Egr
 	return out, nil
 }
 
-// Egress compares the unified egress scheduler against the PR-2 baseline
-// (gossip-only batching) under the churn-storm + multi-publisher + raw-flood
-// scenario: per-link message counts drop because walk, churn, and raw
-// traffic shares the gossip batches' per-destination queues.
+// randTextSeeded derives a short deterministic filler string so payload
+// sizes match across configurations.
+func randTextSeeded(seed int64, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte('a' + (uint64(seed)*2654435761+uint64(i)*97)%26)
+	}
+	return string(b)
+}
+
+// Egress compares batches of one against the default batch size (64) under
+// the churn-storm + multi-publisher + raw-flood scenario: per-link message
+// counts and bytes drop because gossip, walk, churn and raw traffic bound
+// for one destination share a carrier (§3.3.4's dissemination phase; cf.
+// White-Box Atomic Multicast's per-destination payload aggregation).
 func Egress(n, publishers, rounds int, seed int64) Table {
 	t := Table{
-		Title: fmt.Sprintf("Egress scheduler: N=%d, %d publishers, %d rounds, churn storm + raw floods",
+		Title: fmt.Sprintf("Egress batching: N=%d, %d publishers, %d rounds, churn storm + raw floods",
 			n, publishers, rounds),
 		Header: []string{"config", "link_msgs_per_bcast", "msgs_per_bcast", "bytes_per_bcast", "delivered"},
 	}
-	var base, full EgressTraffic
-	for _, gossipOnly := range []bool{true, false} {
-		name := "unified-egress"
-		if gossipOnly {
-			name = "gossip-only (PR2 baseline)"
-		}
-		tr, err := EgressRun(n, publishers, rounds, gossipOnly, seed)
+	var one, def EgressTraffic
+	for _, c := range []struct {
+		name     string
+		maxBatch int
+		out      *EgressTraffic
+	}{
+		{"batches of one", 1, &one},
+		{"default (64)", 0, &def},
+	} {
+		tr, err := EgressRun(n, publishers, rounds, c.maxBatch, seed)
 		if err != nil {
-			t.Remarks = append(t.Remarks, name+": "+err.Error())
+			t.Remarks = append(t.Remarks, c.name+": "+err.Error())
 			continue
 		}
-		if gossipOnly {
-			base = tr
-		} else {
-			full = tr
-		}
+		*c.out = tr
 		t.Rows = append(t.Rows, []string{
-			name,
+			c.name,
 			fmt.Sprintf("%.0f", tr.LinkMsgsPerBcast),
 			fmt.Sprintf("%.0f", tr.MsgsPerBcast),
 			fmt.Sprintf("%.0f", tr.BytesPerBcast),
 			fmt.Sprintf("%.2f", tr.Delivered),
 		})
 	}
-	if base.LinkMsgsPerBcast > 0 && full.LinkMsgsPerBcast > 0 {
+	if one.LinkMsgsPerBcast > 0 && def.LinkMsgsPerBcast > 0 {
 		t.Remarks = append(t.Remarks, fmt.Sprintf(
-			"per-link messages %.0f -> %.0f (%.0f%% reduction): walk, churn and raw traffic share the per-destination batches",
-			base.LinkMsgsPerBcast, full.LinkMsgsPerBcast,
-			100*(1-full.LinkMsgsPerBcast/base.LinkMsgsPerBcast)))
+			"per-link messages %.0f -> %.0f (%.0f%% reduction): everything bound for one destination shares a carrier",
+			one.LinkMsgsPerBcast, def.LinkMsgsPerBcast,
+			100*(1-def.LinkMsgsPerBcast/one.LinkMsgsPerBcast)))
 		t.Remarks = append(t.Remarks,
-			"link_msgs excludes intra-vgroup SMR agreement and node-level handshakes, which the scheduler does not touch")
+			"link_msgs excludes intra-vgroup SMR agreement and node-level handshakes, which the scheduler does not touch",
+			"GossipMaxBatch is fixed from the start, so each row grows its own overlay from the same seed")
 	}
 	return t
 }

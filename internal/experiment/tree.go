@@ -35,7 +35,7 @@ func TreeRun(n, publishers, rounds int, treeOn bool, seed int64) (TreeTraffic, e
 }
 
 // treeScenario drives the churn-storm + multi-publisher scenario under one
-// tree configuration. Unlike egressScenario it runs no tier-2 raw floods:
+// tree configuration. Unlike EgressRun it runs no tier-2 raw floods:
 // the tree optimizes the gossip phase, and identical raw traffic in both
 // arms would only dilute the per-link comparison.
 func treeScenario(n, publishers, rounds int, treeOn bool, seed int64) (TreeTraffic, error) {

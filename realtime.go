@@ -185,6 +185,6 @@ func (r *RealtimeRuntime) invoke(n *Node, fn func() error) error {
 
 // WireMessageCodec returns the engine's deterministic wire-envelope codec
 // for byte-level transports: pass it as tcpnet.Options.Codec (required) so
-// engine messages and application raw messages registered with
-// RegisterRawMessage are framed on the wire (docs/WIRE.md).
+// engine messages are framed on the wire (docs/WIRE.md). Application raw
+// messages ride inside them as kindRaw items.
 func WireMessageCodec() tcpnet.Codec { return core.MessageCodec{} }
